@@ -1,14 +1,29 @@
 """Calibration: choose the corruption depth that hits a target score.
 
 Given an ordered operator sequence, the quality curve ``BLEU(k)`` for
-``k = 0..N`` is evaluated through an incremental :class:`QualityCurve`:
-prefix ``k`` is built by applying *one* operator to prefix ``k-1``
-(O(N) total op applications, versus O(N²) when every prefix replays
-from scratch), and every depth is scored once against a precompiled
-reference (:mod:`repro.metrics.compiled`) and memoized.  The k with
-minimum ``|BLEU(k) − target|`` is selected by a straight scan rather
-than bisection because the curve is only *approximately* monotone —
-individual operators vary in impact.
+``k = 0..N`` is evaluated through a :class:`QualityCurve`.  Prefix
+state ``k`` (a line list) is built by applying *one* operator to state
+``k-1``, and each depth is scored once and memoized.
+
+Scoring runs on a delta engine, :class:`repro.metrics.compiled.BleuCursor`:
+one running set of BLEU statistics (per-line tokens, hypothesis n-gram
+counts, clipped-match totals, hypothesis length) that the curve walks
+from state to state.  Depth ``k+1`` differs from depth ``k`` by one
+operator that usually touches one line, so each step re-tokenizes and
+re-counts only the changed lines and their ``max_order - 1`` tokens of
+context instead of the whole artifact.  The integer statistics equal a
+from-scratch count, so every score is bit-identical to
+:func:`~repro.metrics.compiled.bleu_compiled` on ``apply_ops(ref, ops,
+k)``.  A depth whose lines break the per-line tokenization
+preconditions (a non-final line ending in ``-``, a ``\\r``, a single
+line) falls back to ``bleu_compiled`` on the joined text; a request
+below the cursor's depth (``local_recalibrate``'s full-scan fallback)
+rebuilds the cursor there.  No text is joined unless a caller reads it
+through :meth:`QualityCurve.text`.
+
+The k with minimum ``|BLEU(k) − target|`` is selected by a straight
+scan rather than bisection because the curve is only *approximately*
+monotone — individual operators vary in impact.
 
 Results are cached per (reference, ops identity, target) by the caller;
 this module stays pure.
@@ -21,7 +36,12 @@ from dataclasses import dataclass
 
 from repro.errors import CalibrationError
 from repro.llm.corruption import CorruptionOp, apply_ops  # noqa: F401 (re-export)
-from repro.metrics.compiled import CompiledReference, bleu_compiled, compile_reference
+from repro.metrics.compiled import (
+    BleuCursor,
+    CompiledReference,
+    bleu_compiled,
+    compile_reference,
+)
 
 
 @dataclass(frozen=True)
@@ -42,15 +62,22 @@ class QualityCurve:
     """Incrementally evaluated ``BLEU(k)`` over corruption prefixes.
 
     The curve extends lazily: asking for depth ``k`` applies only the
-    operators beyond the deepest prefix built so far, and each depth's
-    text and score are memoized.  A windowed search followed by a full
-    scan (the ``local_recalibrate`` fallback) therefore never re-applies
-    an operator or re-scores a depth.  Corruption operators never mutate
-    their input line lists, so prefix states can be retained safely.
+    operators beyond the deepest prefix state built so far, and each
+    depth's score is memoized.  Scores come from one :class:`BleuCursor`
+    walked forward through the prefix states; texts are joined only for
+    the depths :meth:`text` is asked for.  A windowed search followed by
+    a full scan (the ``local_recalibrate`` fallback) therefore never
+    re-applies an operator or re-scores a depth.  Corruption operators
+    never mutate their input line lists, so prefix states can be
+    retained and shared with the cursor safely.
+
+    Thread-safe: curve objects are published process-wide inside the
+    simulator's cached cells, so extension, scoring and the cursor run
+    under one lock (the memoized fast paths stay lock-free).
     """
 
     __slots__ = ("reference", "ops", "compiled", "_states", "_texts", "_scores",
-                 "_lock", "scores_computed")
+                 "_cursor", "_cursor_k", "_lock", "scores_computed")
 
     def __init__(
         self,
@@ -65,55 +92,81 @@ class QualityCurve:
         self._states: list[list[str]] = [reference.split("\n")]
         self._texts: dict[int, str] = {0: reference}
         self._scores: dict[int, float] = {}
-        self._lock = threading.Lock()  # guards the _states extension
+        self._cursor: BleuCursor | None = None
+        self._cursor_k = 0  # depth of the state the cursor was last fed
+        self._lock = threading.Lock()
         self.scores_computed = 0  # instrumentation for benches and tests
 
     def __len__(self) -> int:
         """Number of depths on the curve (k = 0..len(ops))."""
         return len(self.ops) + 1
 
-    def text(self, k: int) -> str:
-        """The artifact at depth ``k`` — identical to ``apply_ops(ref, ops, k)``.
+    def _clamp(self, k: int) -> int:
+        return max(0, min(k, len(self.ops)))
 
-        Thread-safe: curve objects are published process-wide inside the
-        simulator's cached cells, so the lazy prefix extension is locked
-        (the memoized-text fast path stays lock-free).
-        """
-        k = max(0, min(k, len(self.ops)))
+    def _state(self, k: int) -> list[str]:
+        """Prefix state ``k``, extending the built prefix (caller holds the lock)."""
+        states = self._states
+        while len(states) <= k:
+            states.append(self.ops[len(states) - 1].apply(states[-1]))
+        return states[k]
+
+    def text(self, k: int) -> str:
+        """The artifact at depth ``k`` — identical to ``apply_ops(ref, ops, k)``."""
+        k = self._clamp(k)
         text = self._texts.get(k)
         if text is None:
             with self._lock:
-                while len(self._states) <= k:
-                    j = len(self._states)
-                    self._states.append(self.ops[j - 1].apply(self._states[j - 1]))
-                text = self._texts[k] = "\n".join(self._states[k])
+                text = self._texts.get(k)
+                if text is None:
+                    text = self._texts[k] = "\n".join(self._state(k))
         return text
 
     def score(self, k: int) -> float:
         """Memoized ``BLEU(text(k), reference)``."""
+        k = self._clamp(k)
         score = self._scores.get(k)
         if score is None:
-            score = self._scores[k] = bleu_compiled(self.text(k), self.compiled)
-            self.scores_computed += 1
+            with self._lock:
+                score = self._scores.get(k)
+                if score is None:
+                    score = self._scores[k] = self._score_unmemoized(k)
+                    self.scores_computed += 1
         return score
+
+    def _score_unmemoized(self, k: int) -> float:
+        lines = self._state(k)
+        cursor = self._cursor
+        if cursor is None or k < self._cursor_k:
+            cursor = self._cursor = BleuCursor(self.compiled)
+        else:
+            # walk the intermediate states: one operator's change per step
+            for j in range(self._cursor_k + 1, k):
+                cursor.move(self._states[j])
+        self._cursor_k = k
+        if cursor.move(lines):
+            return cursor.bleu()
+        return bleu_compiled("\n".join(lines), self.compiled)
 
     def scores(self) -> list[float]:
         """The full curve, depths 0..len(ops)."""
         return [self.score(k) for k in range(len(self))]
 
     def compact(self, keep: tuple[int, ...] = ()) -> None:
-        """Release retained prefix states and texts, keeping only ``keep``.
+        """Release prefix states, texts and the cursor, keeping ``keep``'s texts.
 
         A calibrated cell lives for the whole process but only ever
         re-reads the text at its calibrated depth; dropping the other
-        N prefix strings and line-list states frees ~N copies of the
-        artifact per cell.  Memoized *scores* (a handful of floats) are
-        kept, and any depth's text can still be rebuilt on demand.
+        prefix states and the cursor's per-line tokens and n-gram
+        counters frees them for every cell.  Memoized *scores* (a
+        handful of floats) are kept, and any depth's text or score can
+        still be rebuilt on demand.
         """
         kept = {k: self.text(k) for k in keep}
         with self._lock:
             self._states = [self.reference.split("\n")]
             self._texts = {0: self.reference, **kept}
+            self._cursor = None
 
     def best(self, target: float, lo: int = 0, hi: int | None = None) -> tuple[int, float]:
         """(k, error) minimising ``|score(k) − target|`` over ``[lo, hi]``.

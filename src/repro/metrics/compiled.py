@@ -29,6 +29,8 @@ import hashlib
 import os
 import threading
 from collections import Counter, OrderedDict
+from itertools import chain
+from typing import Sequence
 
 from repro.errors import MetricError
 from repro.metrics.bleu import DEFAULT_MAX_ORDER, _compute_score
@@ -36,8 +38,10 @@ from repro.metrics.chrf import DEFAULT_BETA, DEFAULT_CHAR_ORDER, _fscore
 from repro.metrics.tokenizers import (
     char_ngrams,
     clipped_matches,
+    line_tokens,
     ngrams,
     tokenize_13a_cached,
+    tokenize_lines,
 )
 
 
@@ -53,6 +57,7 @@ class CompiledReference:
         "text",
         "_tokens",
         "_token_ngrams",
+        "_ngram_tables",
         "_char_grams",
         "_char_totals",
         "_kernels",
@@ -62,6 +67,7 @@ class CompiledReference:
         self.text = text
         self._tokens: tuple[str, ...] | None = None
         self._token_ngrams: dict[int, Counter] = {}
+        self._ngram_tables: dict[int, dict[tuple[str, ...], int]] = {}
         self._char_grams: dict[tuple[int, bool], Counter] = {}
         self._char_totals: dict[tuple[int, bool], int] = {}
         # interned vectorized-kernel vocabularies, keyed and filled by
@@ -85,6 +91,21 @@ class CompiledReference:
         if grams is None:
             grams = self._token_ngrams[order] = ngrams(self.tokens, order)
         return grams
+
+    def ngram_table(self, max_order: int) -> dict[tuple[str, ...], int]:
+        """Every token 1..``max_order``-gram's count, in one dict.
+
+        A gram's order is its tuple length, so the orders share one key
+        space; :class:`BleuCursor` looks up touched grams of any order
+        with a single probe.
+        """
+        table = self._ngram_tables.get(max_order)
+        if table is None:
+            table = {}
+            for order in range(1, max_order + 1):
+                table.update(self.token_ngrams(order))
+            self._ngram_tables[max_order] = table
+        return table
 
     def char_grams(self, order: int, remove_whitespace: bool = True) -> Counter:
         """Character ``order``-gram multiset (computed once per options)."""
@@ -199,6 +220,218 @@ def bleu_compiled(
     return _compute_score(
         counts, totals, sys_len, ref.ref_len, smooth_method, smooth_value, max_order
     ).score
+
+
+def _window_grams(
+    left: tuple[str, ...], mid: tuple[str, ...], right: tuple[str, ...]
+) -> Counter:
+    """Every 1..4-gram of ``left + mid + right`` that overlaps ``mid`` or
+    spans the junction of ``left`` and ``right``.
+
+    ``left`` and ``right`` are the tokens on either side of a changed
+    region; an order-``n`` gram reaches at most ``n - 1`` of them.
+    """
+    n_left = len(left)
+    windows = [
+        (order, left[max(n_left - order + 1, 0):] + mid + right[: order - 1])
+        for order in range(1, DEFAULT_MAX_ORDER + 1)
+    ]
+    return Counter(chain.from_iterable(
+        zip(*[window[i:] for i in range(order)]) for order, window in windows
+    ))
+
+
+class BleuCursor:
+    """Running sentence-BLEU statistics of a line list against one reference
+    (the :func:`bleu_compiled` defaults: up to 4-grams, exp smoothing).
+
+    For the lines it was last moved to, the cursor holds every line's 13a
+    tokens (:func:`~repro.metrics.tokenizers.line_tokens`), the
+    hypothesis count of every n-gram the reference contains, the
+    per-order clipped-match totals and the hypothesis length.
+
+    :meth:`move` to another line list diffs the two by common prefix and
+    suffix and re-tokenizes only the lines in between, plus an edge line
+    whose first- or last-line (sentinel) status flipped.  When the old
+    and new spans have the same length (a rename or a line replaced in
+    place), only the runs of lines whose tokens changed are re-counted.
+    Each re-counted span's n-grams, with 3 tokens of context on both
+    sides (``max_order - 1``), are taken out of the counts and the new
+    span's put in; a touched gram's clipped matches change by
+    ``min(c', r) - min(c, r)``.  A move costs O(changed tokens), not
+    O(artifact).
+
+    The integer statistics equal a from-scratch count, so :meth:`bleu`
+    is bit-identical to :func:`bleu_compiled` on ``"\\n".join(lines)``.
+    Lines that break the per-line tokenization preconditions
+    (:func:`~repro.metrics.tokenizers.tokenize_lines`) are refused:
+    :meth:`move` returns ``False``, the cursor stays where it was, and the
+    caller scores the joined text whole.
+
+    Not thread-safe: the owner serializes moves.
+    """
+
+    __slots__ = ("_ref_len", "_table", "_lines", "_tokens", "_counts", "_matches",
+                 "_sys_len")
+
+    def __init__(self, reference: CompiledReference) -> None:
+        self._ref_len = reference.ref_len
+        self._table = reference.ngram_table(DEFAULT_MAX_ORDER)
+        self._lines: list[str] | None = None
+        self._tokens: list[tuple[str, ...]] = []
+        self._counts: dict[tuple[str, ...], int] = {}  # reference grams only
+        self._matches = [0] * DEFAULT_MAX_ORDER
+        self._sys_len = 0
+
+    def move(self, lines: list[str]) -> bool:
+        """Position the cursor on ``lines``; ``False`` if it cannot."""
+        old = self._lines
+        if lines is old:
+            return True
+        if old is None:
+            return self._recount(lines)
+        n_old, n_new = len(old), len(lines)
+        if n_new < 2:
+            return False
+        limit = min(n_old, n_new)
+        lo = _common_prefix(old, lines, limit)
+        if lo == n_old == n_new:
+            self._lines = lines
+            return True
+        tail = _common_suffix(old, lines, limit - lo)
+        hi_old, hi_new = n_old - tail, n_new - tail
+        if lo in (hi_old, hi_new):
+            # a pure insertion or deletion: the line next to it may gain
+            # or lose its first- or last-line (sentinel) status
+            if tail == 0:
+                lo -= 1
+            elif lo == 0:
+                hi_old += 1
+                hi_new += 1
+        last = n_new - 1
+        fresh = []
+        for i in range(lo, hi_new):
+            tokens = line_tokens(lines[i], i == 0, i == last)
+            if tokens is None:
+                return False
+            fresh.append(tokens)
+
+        if hi_old - lo != hi_new - lo:
+            self._splice(lo, hi_old, fresh)
+        else:
+            # lines align one to one: splice each run of changed lines
+            per_line = self._tokens
+            run = None
+            for i, tokens in enumerate(fresh, lo):
+                if tokens != per_line[i]:
+                    if run is None:
+                        run = i
+                elif run is not None:
+                    self._splice(run, i, fresh[run - lo : i - lo])
+                    run = None
+            if run is not None:
+                self._splice(run, hi_new, fresh[run - lo :])
+        self._lines = lines
+        return True
+
+    def _splice(self, lo: int, hi: int, fresh: list[tuple[str, ...]]) -> None:
+        """Replace the tokens of lines ``lo..hi-1`` with ``fresh``."""
+        per_line = self._tokens
+        reach = DEFAULT_MAX_ORDER - 1
+        left: tuple[str, ...] = ()
+        i = lo
+        while i and len(left) < reach:
+            i -= 1
+            left = per_line[i] + left
+        right: tuple[str, ...] = ()
+        i, end = hi, len(per_line)
+        while i < end and len(right) < reach:
+            right += per_line[i]
+            i += 1
+        old_mid = tuple(chain.from_iterable(per_line[lo:hi]))
+        new_mid = tuple(chain.from_iterable(fresh))
+        self._sys_len += len(new_mid) - len(old_mid)
+        per_line[lo:hi] = fresh
+        # tokens the two spans share at either end are context too: a
+        # renamed identifier re-counts only the grams that reach it
+        limit = min(len(old_mid), len(new_mid))
+        head = _common_prefix(old_mid, new_mid, limit)
+        if head:
+            left = (left + old_mid[:head])[-reach:]
+        back = _common_suffix(old_mid, new_mid, limit - head)
+        if back:
+            right = (old_mid[len(old_mid) - back:] + right)[:reach]
+        old_mid = old_mid[head:len(old_mid) - back]
+        new_mid = new_mid[head:len(new_mid) - back]
+        removed = _window_grams(left, old_mid, right)
+        added = _window_grams(left, new_mid, right)
+
+        counts, table, matches = self._counts, self._table, self._matches
+        unmatched = removed.pop
+        for gram, count in added.items():
+            change = count - unmatched(gram, 0)
+            ref = table.get(gram)
+            if ref and change:
+                before = counts.get(gram, 0)
+                after = counts[gram] = before + change
+                matches[len(gram) - 1] += (
+                    (after if after < ref else ref) - (before if before < ref else ref)
+                )
+        for gram, count in removed.items():
+            ref = table.get(gram)
+            if ref:
+                before = counts[gram]
+                after = counts[gram] = before - count
+                matches[len(gram) - 1] += (
+                    (after if after < ref else ref) - (before if before < ref else ref)
+                )
+
+    def _recount(self, lines: list[str]) -> bool:
+        per_line = tokenize_lines(lines)
+        if per_line is None:
+            return False
+        stream = tuple(chain.from_iterable(per_line))
+        table = self._table
+        counts = {
+            gram: count
+            for gram, count in _window_grams((), stream, ()).items()
+            if gram in table
+        }
+        matches = [0] * DEFAULT_MAX_ORDER
+        for gram, count in counts.items():
+            ref = table[gram]
+            matches[len(gram) - 1] += count if count < ref else ref
+        self._lines, self._tokens = lines, per_line
+        self._counts, self._matches = counts, matches
+        self._sys_len = len(stream)
+        return True
+
+    def bleu(self) -> float:
+        """Sentence BLEU (exp smoothing) of the lines the cursor is on."""
+        sys_len = self._sys_len
+        totals = [max(sys_len - n, 0) for n in range(DEFAULT_MAX_ORDER)]
+        return _compute_score(
+            list(self._matches), totals, sys_len, self._ref_len,
+            "exp", None, DEFAULT_MAX_ORDER,
+        ).score
+
+
+def _common_prefix(a: Sequence[str], b: Sequence[str], limit: int) -> int:
+    """Leading items (lines or tokens) ``a`` and ``b`` share, at most ``limit``."""
+    for i in range(limit):
+        x, y = a[i], b[i]
+        if x is not y and x != y:
+            return i
+    return limit
+
+
+def _common_suffix(a: Sequence[str], b: Sequence[str], limit: int) -> int:
+    """Trailing items (lines or tokens) ``a`` and ``b`` share, at most ``limit``."""
+    for i in range(1, limit + 1):
+        x, y = a[-i], b[-i]
+        if x is not y and x != y:
+            return i - 1
+    return limit
 
 
 def chrf_compiled(

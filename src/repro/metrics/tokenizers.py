@@ -7,11 +7,14 @@ It is what the paper's BLEU numbers are computed with.
 
 The hot-path implementation is heavily cached: the single-character
 punctuation rule runs through ``str.translate`` instead of a regex, and
-multi-line texts tokenize line-by-line through a per-line LRU so the
-thousands of near-identical corrupted artifacts scored during
-calibration re-tokenize only the lines that changed.  Equivalence with
-the literal rule-by-rule implementation (:func:`_tokenize_13a_reference`)
-is property-tested in ``tests/test_metrics_tokenizers.py``.
+multi-line texts tokenize line-by-line through a per-line LRU.  The
+per-line rule (space sentinels on interior line boundaries, and when it
+does not apply) lives in one place, :func:`line_tokens`; both
+:func:`tokenize_13a_cached` and the incremental BLEU cursor
+(:class:`repro.metrics.compiled.BleuCursor`) tokenize through it.
+Equivalence with the literal rule-by-rule implementation
+(:func:`_tokenize_13a_reference`) is property-tested in
+``tests/test_metrics_compiled.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 # mteval-v13a language-independent tokenization patterns, applied in order.
@@ -64,38 +68,64 @@ def _tokenize_segment(segment: str) -> tuple[str, ...]:
     return _tokenize_flat(segment)
 
 
+def line_tokens(line: str, first: bool, last: bool) -> tuple[str, ...] | None:
+    """13a tokens of one line of a multi-line text: the per-line rule.
+
+    Every 13a rule is local (at most a two-character window) and line
+    boundaries become plain spaces after the newline join, so a line
+    tokenized with a space sentinel on each *interior* boundary yields
+    exactly its share of the whole-text token stream; the text's outer
+    edges (the first line's start, the last line's end) stay contextless.
+
+    Returns ``None`` when the rule does not apply to this line and the
+    text must be tokenized whole: the line holds a line break of its own
+    (``\\r`` or ``\\n``), or it is not the last line and ends in ``-``
+    (end-of-line hyphenation joins it with the next line).
+    """
+    if "\r" in line or "\n" in line or (not last and line.endswith("-")):
+        return None
+    if not first:
+        line = " " + line
+    if not last:
+        line = line + " "
+    return _tokenize_segment(line)
+
+
+def tokenize_lines(lines: Sequence[str]) -> list[tuple[str, ...]] | None:
+    """Per-line 13a tokens whose concatenation tokenizes ``"\\n".join(lines)``.
+
+    ``None`` when the per-line decomposition does not apply: fewer than
+    two lines, or a line :func:`line_tokens` rejects.
+    """
+    last = len(lines) - 1
+    if last < 1:
+        return None
+    per_line = []
+    for i, line in enumerate(lines):
+        tokens = line_tokens(line, i == 0, i == last)
+        if tokens is None:
+            return None
+        per_line.append(tokens)
+    return per_line
+
+
 @lru_cache(maxsize=4096)
 def tokenize_13a_cached(text: str) -> tuple[str, ...]:
     """LRU-cached 13a tokenization, returned as an immutable tuple.
 
-    Multi-line texts tokenize line-by-line: every 13a rule is local (at
-    most a two-character window) and line boundaries become plain spaces
-    after the newline join, so tokenizing each line with an explicit
-    space sentinel on its interior boundaries concatenates to exactly
-    the whole-text token stream.  The per-line cache then turns
+    Multi-line texts tokenize line-by-line (:func:`tokenize_lines`), so
     re-tokenizing a corrupted artifact that shares most lines with its
-    predecessor into a handful of dict hits.
+    predecessor is a handful of per-line cache hits.
     """
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if "\n" not in text:
         return _tokenize_segment(text)
-    if "-\n" in text:
+    per_line = tokenize_lines(text.split("\n"))
+    if per_line is None:
         # end-of-line hyphenation joins words across lines; the per-line
         # decomposition no longer applies, take the whole-text path
         return _tokenize_flat(text.replace("-\n", "").replace("\n", " "))
-    lines = text.split("\n")
-    last = len(lines) - 1
-    tokens: list[str] = []
-    for i, line in enumerate(lines):
-        # interior boundaries get a space sentinel so the digit-context
-        # rules see the same neighbour they would in the joined text;
-        # the text's outer edges must stay contextless
-        if i > 0:
-            line = " " + line
-        if i < last:
-            line = line + " "
-        tokens.extend(_tokenize_segment(line))
-    return tuple(tokens)
+    return tuple(chain.from_iterable(per_line))
 
 
 def tokenize_13a(text: str) -> list[str]:

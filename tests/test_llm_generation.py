@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.assets import annotated_producer, reference_config
@@ -13,10 +16,22 @@ from repro.llm.calibration import (
     local_recalibrate,
     quality_curve,
 )
-from repro.llm.corruption import apply_ops, build_ops, shuffle_within_bands
+import repro.llm.calibration as calibration
+from repro.data import ANNOTATION_SYSTEMS, CONFIG_SYSTEMS, TRANSLATION_DIRECTIONS
+from repro.llm.corruption import (
+    CorruptionOp,
+    _drop_anchor,
+    _insert_after,
+    _replace_word,
+    apply_ops,
+    build_ops,
+    shuffle_within_bands,
+)
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
+from repro.metrics.compiled import bleu_compiled, compile_reference
+from repro.metrics.tokenizers import tokenize_lines
 from repro.utils.rng import rng_for
 from repro.utils.text import strip_markdown_chatter
 
@@ -160,6 +175,192 @@ class TestQualityCurve:
         assert computed > 0
         # a second search over the same window re-scores nothing
         assert local_recalibrate(REF, ops, 70.0, center=10, curve=curve) == k
+        assert curve.scores_computed == computed
+
+
+def simulator_cells():
+    """(label, reference, ops) for every model x experiment cell, built
+    the way :class:`~repro.llm.simulated.SimulatedModel` builds them."""
+    experiments = (
+        ("configuration", CONFIG_SYSTEMS, reference_config),
+        ("annotation", ANNOTATION_SYSTEMS, annotated_producer),
+        ("translation", TRANSLATION_DIRECTIONS, lambda pair: annotated_producer(pair[1])),
+    )
+    for name, factory in ALL_PROFILES.items():
+        profile = factory()
+        for experiment, keys, reference_of in experiments:
+            for key in keys:
+                reference = reference_of(key)
+                ops = build_ops(
+                    reference,
+                    profile.knowledge_for(experiment, key),
+                    chrf_bias=profile.bias_for(experiment, key),
+                    seed_labels=(name, experiment, key),
+                )
+                yield f"{name}/{experiment}/{key}", reference, ops
+
+
+def depth_lines(reference: str, ops: list[CorruptionOp]) -> list[list[str]]:
+    """Every depth's line list, folded op by op (``apply_ops`` unjoined)."""
+    states = [reference.split("\n")]
+    for op in ops:
+        states.append(op.apply(states[-1]))
+    return states
+
+
+def op(apply) -> CorruptionOp:
+    return CorruptionOp("test", 1, "test op", apply)
+
+
+# sentinel-sensitive edges: a leading ".5" splits only when a line comes
+# before it, a trailing "5." only when a line comes after it
+EDGE_REF = ".5 start\nalpha = 1\n\nbeta = 2.\ngamma(3, 4)\nend 5."
+
+EDGE_OPS = [
+    op(lambda lines: ["0.25 header"] + lines),  # insert at line 0
+    op(lambda lines: _insert_after(lines, "no such anchor", "tail 7.")),  # append
+    op(lambda lines: lines[1:]),  # delete the first line
+    op(lambda lines: lines[:-1]),  # delete the last line
+    op(lambda lines: lines[:2] + ["", ""] + lines[2:]),  # empty lines
+    op(lambda lines: _replace_word(lines, "beta", "delta")),
+    op(lambda lines: _drop_anchor(lines, "gamma")),
+    op(lambda lines: lines[:1] + ["split-"] + lines[1:]),  # hyphenation: fallback
+    op(lambda lines: _drop_anchor(lines, "split-")),
+    op(lambda lines: lines[:1] + ["carriage\rreturn"] + lines[1:]),  # fallback
+    op(lambda lines: _drop_anchor(lines, "carriage")),
+    op(lambda lines: lines + ["last-"]),  # a *final* "-" line keeps the fast path
+    op(lambda lines: lines + ["after"]),  # ... until a line follows it: fallback
+    op(lambda lines: lines[:-1]),
+    op(lambda lines: [".5 x", "y 5."]),  # restructure to a shorter artifact
+    op(lambda lines: [".5 a", "b 5.", "", "c", "d 1.", "e"] * 3),  # ... a longer one
+    op(lambda lines: ["single line 5."]),  # a single-line artifact: fallback
+    op(lambda lines: ["", "x 5.", ".5 y", ""]),
+    op(lambda lines: [line.rstrip(".") for line in lines]),
+]
+
+
+class TestQualityCurveDeltaEngine:
+    """The cursor-driven curve is bit-equal to whole-text scoring at every depth."""
+
+    @staticmethod
+    def assert_exact(reference, ops, order=None):
+        curve = QualityCurve(reference, ops)
+        compiled = compile_reference(reference)
+        states = depth_lines(reference, ops)
+        for k in order if order is not None else range(len(curve)):
+            expected = bleu_compiled("\n".join(states[k]), compiled)
+            assert curve.score(k) == expected, k
+        return curve
+
+    def test_every_simulator_cell_and_shuffled_epoch(self):
+        for label, reference, ops in simulator_cells():
+            compiled = compile_reference(reference)
+            for trial_ops in (ops, shuffle_within_bands(ops, rng_for(label))):
+                got = QualityCurve(reference, trial_ops, compiled=compiled).scores()
+                states = depth_lines(reference, trial_ops)
+                for k, lines in enumerate(states):
+                    assert got[k] == bleu_compiled("\n".join(lines), compiled), (
+                        label, k,
+                    )
+
+    def test_edge_ops_match_apply_ops(self):
+        compiled = compile_reference(EDGE_REF)
+        curve = QualityCurve(EDGE_REF, EDGE_OPS)
+        for k in range(len(curve)):
+            expected = bleu_compiled(apply_ops(EDGE_REF, EDGE_OPS, k), compiled)
+            assert curve.score(k) == expected, k
+
+    def test_edge_ops_every_prefix_out_of_order(self):
+        # backward, interleaved and windowed orders rebuild the cursor
+        n = len(EDGE_OPS) + 1
+        self.assert_exact(EDGE_REF, EDGE_OPS, order=range(n - 1, -1, -1))
+        interleaved = [k for pair in zip(range(n // 2, n), range(n // 2)) for k in pair]
+        self.assert_exact(EDGE_REF, EDGE_OPS, order=interleaved)
+
+    def test_out_of_order_after_deeper_depth(self):
+        ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        order = [40, 10, 41, 9, len(ops), 0, 25, 26, 24]
+        curve = self.assert_exact(REF, ops, order=order)
+        assert curve.scores_computed == len(order)
+
+    def test_local_recalibrate_full_scan_fallback_is_exact(self):
+        ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        epoch_ops = shuffle_within_bands(ops, rng_for("fallback"))
+        curve = QualityCurve(REF, epoch_ops)
+        # a target far outside the window forces the full-scan fallback
+        k = local_recalibrate(REF, epoch_ops, 5.0, center=3, curve=curve)
+        assert curve.scores_computed == len(curve)
+        naive = [bleu(apply_ops(REF, epoch_ops, j), REF) for j in range(len(curve))]
+        assert curve.scores() == naive
+        assert k == min(range(len(naive)), key=lambda j: (abs(naive[j] - 5.0), j))
+
+    def test_whole_text_fallback_only_where_preconditions_break(self, monkeypatch):
+        calls = []
+        real = calibration.bleu_compiled
+
+        def counted(text, compiled):
+            calls.append(text)
+            return real(text, compiled)
+
+        monkeypatch.setattr(calibration, "bleu_compiled", counted)
+        curve = QualityCurve(EDGE_REF, EDGE_OPS)
+        curve.scores()
+        refused = [
+            "\n".join(lines)
+            for lines in depth_lines(EDGE_REF, EDGE_OPS)
+            if tokenize_lines(lines) is None
+        ]
+        assert refused and calls == refused
+
+    def test_concurrent_scorers_share_one_memo(self):
+        ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        curve = QualityCurve(REF, ops)
+        forward, backward = range(len(curve)), range(len(curve) - 1, -1, -1)
+        orders = [forward, backward, forward, backward]  # more threads than cores
+        barrier = threading.Barrier(len(orders))
+        results: list[dict[int, float]] = [{} for _ in orders]
+
+        def scan(i):
+            barrier.wait()
+            results[i].update((k, curve.score(k)) for k in orders[i])
+
+        threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == results[0] for result in results)
+        # a lost update of the memo or the counter would break this
+        assert curve.scores_computed == len(curve)
+        compiled = compile_reference(REF)
+        for k, lines in enumerate(depth_lines(REF, ops)):
+            assert results[0][k] == bleu_compiled("\n".join(lines), compiled)
+
+    def test_only_read_depths_are_joined(self):
+        ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        curve = QualityCurve(REF, ops)
+        curve.scores()
+        assert set(curve._texts) == {0}
+        assert curve.text(12) == apply_ops(REF, ops, 12)
+        assert set(curve._texts) == {0, 12}
+
+    def test_compacted_curve_retains_no_counters(self):
+        ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        curve = QualityCurve(REF, ops)
+        result = calibrate(REF, ops, 70.0, curve=curve)
+        assert curve._cursor is not None
+        curve.compact(keep=(result.k,))
+        assert curve._cursor is None
+        assert len(curve._states) == 1
+        # scores stay memoized; unmemoized depths rebuild exactly
+        computed = curve.scores_computed
+        assert curve.score(result.k) == result.achieved_bleu
         assert curve.scores_computed == computed
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.metrics import bleu, chrf
 from repro.metrics.bleu import corpus_bleu
 from repro.metrics.compiled import (
+    BleuCursor,
     CompiledReference,
     bleu_compiled,
     chrf_compiled,
@@ -23,8 +24,10 @@ from repro.metrics.compiled import (
 )
 from repro.metrics.tokenizers import (
     _tokenize_13a_reference,
+    line_tokens,
     tokenize_13a,
     tokenize_13a_cached,
+    tokenize_lines,
 )
 
 text = st.text(
@@ -145,6 +148,87 @@ class TestTokenizerCache:
         # the per-line fast path must preserve the period/digit rules
         for s in (".5 rest", "x.\n.5", "3\n.5", "5.\n3", "a.\n.b", ".5\ntail"):
             assert list(tokenize_13a_cached(s)) == _tokenize_13a_reference(s)
+
+
+# lines built from few distinct words so edits share and clip n-grams, with
+# the characters the 13a digit/period rules and the preconditions key on
+line = st.lists(
+    st.sampled_from(["a", "b", "x.", ".5", "5.", "3", ",", "-", "(c)", "", "\r"]),
+    max_size=5,
+).map(" ".join) | st.sampled_from(["", "5.", ".5", "a-", "-"])
+edit = st.tuples(
+    st.sampled_from(["insert", "delete", "replace", "reset"]),
+    st.integers(0, 12),
+    st.lists(line, min_size=1, max_size=4),
+)
+
+
+def apply_edit(lines: list[str], edit) -> list[str]:
+    kind, at, new = edit
+    at = at % (len(lines) + 1)
+    if kind == "insert":
+        return lines[:at] + new + lines[at:]
+    if kind == "delete":
+        return lines[:at] + lines[at + len(new):]
+    if kind == "replace":
+        return lines[:at] + new + lines[at + 1:]
+    return list(new)
+
+
+class TestBleuCursor:
+    """Running BLEU statistics equal a whole-text score after every move."""
+
+    REFERENCE = ".5 a b\nx. 3\n\n(c) , 5.\na b x.\nb a 5."
+
+    def walk(self, states):
+        compiled = compile_reference(self.REFERENCE)
+        cursor = BleuCursor(compiled)
+        for lines in states:
+            moved = cursor.move(lines)
+            assert moved == (tokenize_lines(lines) is not None), lines
+            if moved:
+                assert cursor.bleu() == bleu_compiled("\n".join(lines), compiled), lines
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.lists(line, max_size=8), edits=st.lists(edit, max_size=12))
+    def test_matches_bleu_compiled_along_random_edits(self, start, edits):
+        states = [start]
+        for e in edits:
+            states.append(apply_edit(states[-1], e))
+        self.walk(states)
+
+    def test_refused_move_keeps_the_last_position(self):
+        ref = self.REFERENCE.split("\n")
+        self.walk([
+            ref,
+            ref[:2] + ["hy-"] + ref[2:],  # refused: hyphenation
+            ["only one line"],  # refused: a single line
+            ref[:1] + ["cr\r"] + ref[1:],  # refused: carriage return
+            ref[1:] + ["5."],  # diffed against ``ref``, the last good position
+        ])
+
+    def test_status_flips_at_both_edges(self):
+        ref = self.REFERENCE.split("\n")
+        self.walk([
+            ref,
+            ["x."] + ref,  # ".5 a b" gains a line before it
+            ref,
+            ref + [".5"],  # "b a 5." gains a line after it
+            ref[:-1],
+            ref[1:],
+            [""] + ref + [""],
+        ])
+
+    def test_line_tokens_is_the_tokenizer_rule(self):
+        lines = ["x.", ".5 a", "b 5."]
+        per_line = [line_tokens(ln, i == 0, i == 2) for i, ln in enumerate(lines)]
+        assert per_line == tokenize_lines(lines)
+        flat = [token for tokens in per_line for token in tokens]
+        assert flat == list(tokenize_13a_cached("\n".join(lines)))
+        assert line_tokens("a-", first=True, last=False) is None
+        assert line_tokens("a-", first=False, last=True) == ("a-",)
+        assert line_tokens("a\rb", first=True, last=True) is None
+        assert tokenize_lines(["single"]) is None
 
 
 class TestEmptyStringScoring:

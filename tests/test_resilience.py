@@ -25,6 +25,7 @@ from repro.errors import (
     ServerOverloadedError,
     StoreError,
 )
+from repro.llm.simulated import SimulatedModel
 from repro.llm.types import ModelUsage
 from repro.runtime import FaultPolicy, RetryPolicy, RunConfig
 from repro.runtime.faults import FaultState
@@ -467,17 +468,25 @@ class TestSharedCounters:
 class TestServerProcessChaos:
     """Real subprocesses: only ``kill -9`` proves crash-tolerance."""
 
-    def test_sweep_survives_sigkill_of_one_replica(self, tmp_path):
+    def test_sweep_survives_sigkill_of_one_replica(self, tmp_path, monkeypatch):
         reference = run_configuration(**SMALL)
         with ServerProcess(tmp_path / "proc-a") as a:
             with ServerProcess(tmp_path / "proc-b") as b:
-                killer = threading.Timer(0.05, a.kill)
+                # SIGKILL replica a at the sweep's first generation: mid-run
+                # by construction, however fast the sweep (a wall-clock
+                # timer can fire after a fast sweep has already finished)
+                generate = SimulatedModel.generate
+
+                def kill_then_generate(model, *args, **kwargs):
+                    a.kill()
+                    return generate(model, *args, **kwargs)
+
+                monkeypatch.setattr(SimulatedModel, "generate", kill_then_generate)
                 store = replicated(a, b)
                 try:
-                    killer.start()
                     grid = run_configuration(**SMALL, store=store)
                 finally:
-                    killer.cancel()
+                    monkeypatch.undo()
                     store.close()
                 assert not a.alive
                 for row in reference.row_keys:
