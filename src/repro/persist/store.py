@@ -46,6 +46,13 @@ one lock acquisition and one ``write`` batch per ``put_many``, with the
 index snapshot debounced (rewritten only after ``snapshot_every``
 records accumulate, and on ``close``).
 
+Manifests are written once each, by atomic rename, under a unique run
+id, so :meth:`RunStore.latest_manifest` keeps a header index
+(``started_unix``, ``run_id``, plan fingerprint per file name): each
+call lists ``manifests/``, parses only names it has not seen, forgets
+vanished ones, and parses just the winning file — its cost no longer
+grows with the run history.
+
 :meth:`RunStore.gc` is the compaction pass: one streaming scan over the
 segments that keeps the newest raw line per key (no re-encode, no
 re-hash), drops corrupt lines and score entries whose generation
@@ -374,6 +381,8 @@ class GCStats:
 class RunStore:
     """One on-disk store directory shared by any number of processes."""
 
+    backend = "disk"  # the stats() label of the caches over this store
+
     def __init__(
         self,
         root: str | pathlib.Path,
@@ -427,6 +436,8 @@ class RunStore:
         self._records_since_snapshot = 0
         self._corrupt_skipped = 0
         self._result_cache: DiskResultCache | None = None
+        # manifest file name -> (started_unix, run_id, plan_fingerprint)
+        self._manifest_headers: dict[str, tuple[float, str, str]] = {}
         self._load_index_snapshot()
         self.refresh()
 
@@ -903,31 +914,74 @@ class RunStore:
 
     def manifest(self, run_id: str) -> RunManifest | None:
         """One recorded run by id (``None`` when absent or unreadable)."""
-        path = self._manifests_dir / f"{run_id}.json"
-        try:
-            return RunManifest.from_payload(json.loads(path.read_text()))
-        except (OSError, ValueError, PersistError):
-            return None
+        return self._read_manifest(self._manifests_dir / f"{run_id}.json")
 
     def manifests(self) -> list[RunManifest]:
         """Every recorded run, oldest first."""
         out: list[RunManifest] = []
         for path in sorted(self._manifests_dir.glob("*.json")):
-            try:
-                out.append(RunManifest.from_payload(json.loads(path.read_text())))
-            except (OSError, ValueError, PersistError):
-                continue  # verify() reports these; listing stays usable
+            manifest = self._read_manifest(path)
+            if manifest is not None:  # verify() reports the unreadable ones
+                out.append(manifest)
         out.sort(key=lambda m: (m.started_unix, m.run_id))
         return out
 
+    @staticmethod
+    def _read_manifest(path: pathlib.Path) -> RunManifest | None:
+        try:
+            return RunManifest.from_payload(json.loads(path.read_text()))
+        except (OSError, ValueError, PersistError):
+            return None
+
+    def _refresh_manifest_headers_locked(self) -> None:
+        """Sync the header index with ``manifests/``; caller holds ``_mu``.
+
+        Parses only names not indexed yet — a manifest is written once,
+        by atomic rename, under a unique run id, so an indexed name never
+        changes content — and drops names that disappeared (another
+        handle deleted them).  Unreadable files are skipped, exactly as
+        :meth:`manifests` skips them, and retried on the next refresh.
+        """
+        try:  # listdir, not glob: the same names at a fraction of the cost
+            listing = os.listdir(self._manifests_dir)
+        except FileNotFoundError:
+            listing = []
+        names = {name for name in listing if name.endswith(".json")}
+        for name in self._manifest_headers.keys() - names:
+            del self._manifest_headers[name]
+        for name in names - self._manifest_headers.keys():
+            manifest = self._read_manifest(self._manifests_dir / name)
+            if manifest is not None:
+                self._manifest_headers[name] = (
+                    manifest.started_unix,
+                    manifest.run_id,
+                    manifest.plan_fingerprint,
+                )
+
     def latest_manifest(self, fingerprint: str | None = None) -> RunManifest | None:
-        """The most recent run, optionally restricted to one plan fingerprint."""
-        candidates = [
-            m
-            for m in self.manifests()
-            if fingerprint is None or m.plan_fingerprint == fingerprint
-        ]
-        return candidates[-1] if candidates else None
+        """The most recent run, optionally restricted to one plan fingerprint.
+
+        "Most recent" is the last of :meth:`manifests` — the largest
+        ``(started_unix, run_id)`` — picked from the header index, so
+        only the winning file is parsed, however long the history.
+        """
+        while True:
+            with self._mu:
+                self._refresh_manifest_headers_locked()
+                candidates = [
+                    (started, run_id, name)
+                    for name, (started, run_id, fp) in self._manifest_headers.items()
+                    if fingerprint is None or fp == fingerprint
+                ]
+            if not candidates:
+                return None
+            # name breaks exact ties the way manifests()' sorted listing does
+            name = max(candidates)[2]
+            manifest = self._read_manifest(self._manifests_dir / name)
+            if manifest is not None:
+                return manifest
+            with self._mu:  # deleted since the refresh: forget it, re-pick
+                self._manifest_headers.pop(name, None)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -1186,13 +1240,21 @@ class DiskScoreCache:
     """Write-through score memo: in-memory LRU over durable score records.
 
     Drop-in for :class:`~repro.runtime.cache.ScoreCache` (same
-    ``get``/``put`` surface, keyed by the
+    ``get``/``get_many``/``put`` surface, keyed by the
     :func:`repro.runtime.runner.score_key` tuple).  Entries whose scorer
     fingerprint has a stable cross-process identity are written through
     to the store; the rest stay in the process-local LRU.
+
+    ``store`` is anything with the raw record surface —
+    ``get_records``/``put_score`` and a ``backend`` label: a local
+    :class:`RunStore` (``"disk"``) or a
+    :class:`~repro.serve.RemoteRunStore` (``"remote"``), whose
+    ``get_records`` carries the chunking, retries and failover of the
+    wire.  :meth:`get_many` resolves every LRU miss in one
+    ``get_records`` call, so a sweep's score lookup is one round trip.
     """
 
-    def __init__(self, store: RunStore, maxsize: int = 4096) -> None:
+    def __init__(self, store: Any, maxsize: int = 4096) -> None:
         self._store = store
         self._memory = ScoreCache(maxsize)
         self._mu = threading.Lock()
@@ -1201,19 +1263,38 @@ class DiskScoreCache:
         self._unpersistable = 0
 
     def get(self, key: Hashable) -> object | None:
-        score = self._memory.get(key)
-        if score is not None:
-            return score
-        dkey = disk_score_key(key)
-        if dkey is None:
-            return None
-        score = self._store.get_score(dkey)
-        if score is None:
-            return None
-        self._memory.put(key, score)
-        with self._mu:
-            self._disk_hits += 1
-        return score
+        return self.get_many([key]).get(key)
+
+    def get_many(self, keys: Iterable[Hashable]) -> dict[Hashable, object]:
+        """The hits among ``keys``: LRU first, then one store batch.
+
+        Results, ``disk_hits`` and LRU recency match per-key :meth:`get`
+        calls in order whenever the batch fits in the LRU.
+        """
+        keys = list(keys)
+        found = self._memory.get_many(keys)
+        misses: dict[str, Hashable] = {}  # disk key -> score key
+        for key in keys:
+            if key not in found:
+                dkey = disk_score_key(key)
+                if dkey is not None:
+                    misses.setdefault(dkey, key)
+        if not misses:
+            return found
+        payloads = self._store.get_records(SCORE_KIND, list(misses))
+        disk_hits = 0
+        for dkey, key in misses.items():
+            payload = payloads.get(dkey)
+            if payload is not None:
+                found[key] = score_from_payload(payload)
+                disk_hits += 1
+        if disk_hits:
+            # re-touch every hit in request order: the LRU ends in the
+            # state per-key gets (memory hits, disk fills interleaved) leave
+            self._memory.put_many((key, found[key]) for key in keys if key in found)
+            with self._mu:
+                self._disk_hits += disk_hits
+        return found
 
     def put(self, key: Hashable, score: object) -> None:
         self._memory.put(key, score)
@@ -1234,7 +1315,7 @@ class DiskScoreCache:
         with self._mu:
             return stats_dict(
                 "score_cache",
-                backend="disk",
+                backend=self._store.backend,
                 entries=len(self._memory),
                 disk_hits=self._disk_hits,
                 disk_puts=self._disk_puts,

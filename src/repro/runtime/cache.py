@@ -236,6 +236,11 @@ class ScoreCache:
     (completion, target) pair.  A fresh per-run instance is created by
     :func:`repro.runtime.runner.run` when none is passed; hand one cache
     to several runs to keep scores warm across a multi-plan sweep.
+
+    A score cache offers ``get``/``get_many``/``put``; the runner
+    resolves a whole plan's score keys with one ``get_many`` (the
+    store-backed :class:`repro.persist.DiskScoreCache` turns that into
+    one store read).
     """
 
     def __init__(self, maxsize: int = 4096) -> None:
@@ -252,10 +257,29 @@ class ScoreCache:
                 self._entries.move_to_end(key)
         return score
 
-    def put(self, key: Hashable, score: object) -> None:
+    def get_many(self, keys: Iterable[Hashable]) -> dict[Hashable, object]:
+        """Batched lookup: the hits among ``keys``, one lock acquisition.
+
+        Same result and recency as calling :meth:`get` per key in order.
+        """
+        out: dict[Hashable, object] = {}
         with self._lock:
-            self._entries[key] = score
-            self._entries.move_to_end(key)
+            for key in keys:
+                score = self._entries.get(key)
+                if score is not None:
+                    self._entries.move_to_end(key)
+                    out[key] = score
+        return out
+
+    def put(self, key: Hashable, score: object) -> None:
+        self.put_many([(key, score)])
+
+    def put_many(self, items: Iterable[tuple[Hashable, object]]) -> None:
+        """Insert (or refresh) entries in order, one lock acquisition."""
+        with self._lock:
+            for key, score in items:
+                self._entries[key] = score
+                self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
 

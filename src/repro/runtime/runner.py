@@ -446,14 +446,13 @@ def _run_impl(
         if skey not in skey_units:
             skey_units[skey] = unit
 
-    cached_scores: dict[Hashable, object] = {}
     to_compute: dict[str, list[Hashable]] = {}  # generation key -> score keys
     with span("score"):  # cache consultation is part of the scoring phase
+        # one batched lookup for the whole plan: a store-backed cache
+        # resolves every LRU miss in a single store read (one round trip)
+        cached_scores = score_cache.get_many(list(skey_units))
         for skey, unit in skey_units.items():
-            hit = score_cache.get(skey)
-            if hit is not None:
-                cached_scores[skey] = hit
-            else:
+            if skey not in cached_scores:
                 to_compute.setdefault(unit.key, []).append(skey)
 
     # -- scoring backend resolution ------------------------------------------

@@ -6,9 +6,10 @@ removes that assumption: :class:`StoreServer` is a long-lived asyncio
 process owning N shard :class:`~repro.persist.RunStore` directories
 (records routed by a stable hash of their content key) behind a small
 length-prefixed JSON frame protocol over TCP and unix sockets, and
-:class:`RemoteRunStore` / :class:`RemoteResultCache` /
-:class:`RemoteScoreCache` are drop-in client faces for the existing
-store and cache protocols — pooled connections, pipelined batches, and
+:class:`RemoteRunStore` / :class:`RemoteResultCache` are drop-in
+client faces for the existing store and cache protocols (its
+``score_cache()`` is the same :class:`~repro.persist.DiskScoreCache`
+a local store hands out) — pooled connections, pipelined batches, and
 deterministic reconnect-and-replay on transport faults (surfaced as the
 retryable :class:`~repro.errors.RemoteStoreError`).
 
@@ -32,7 +33,6 @@ from repro.serve.client import (
     RemoteResultCache,
     RemoteRetryBudget,
     RemoteRunStore,
-    RemoteScoreCache,
     StoreClient,
 )
 from repro.serve.replicated import (
@@ -56,7 +56,6 @@ __all__ = [
     "StoreClient",
     "RemoteRunStore",
     "RemoteResultCache",
-    "RemoteScoreCache",
     "RemoteRetryBudget",
     "ReplicatedRunStore",
     "ReplicatedStoreClient",

@@ -38,7 +38,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.scorers import Score
 from repro.errors import (
@@ -58,14 +58,11 @@ from repro.obs import (
 from repro.persist.manifest import RunManifest, build_manifest
 from repro.persist.records import (
     GEN_KIND,
-    SCORE_KIND,
-    disk_score_key,
     generation_from_payload,
     generation_payload,
-    score_from_payload,
     score_payload,
 )
-from repro.runtime.cache import ScoreCache
+from repro.persist.store import DiskScoreCache, GCStats, StoreStats, VerifyReport
 from repro.runtime.faults import FaultPolicy, RetryPolicy
 from repro.runtime.units import Generation
 from repro.stats import stats_dict
@@ -303,6 +300,8 @@ class RemoteRunStore:
     messages and provenance.
     """
 
+    backend = "remote"  # the stats() label of the caches over this store
+
     def __init__(
         self,
         url: str,
@@ -375,11 +374,6 @@ class RemoteRunStore:
         if batch:
             self.put_records(batch)
 
-    def get_score(self, disk_key: str) -> Score | None:
-        found = self.get_records(SCORE_KIND, [disk_key])
-        payload = found.get(disk_key)
-        return score_from_payload(payload) if payload is not None else None
-
     def put_score(self, disk_key: str, gen_key: str, score: Score) -> None:
         self.put_records([score_payload(disk_key, gen_key, score)])
 
@@ -391,8 +385,9 @@ class RemoteRunStore:
             self._result_cache = RemoteResultCache(self)
         return self._result_cache
 
-    def score_cache(self, maxsize: int = 4096) -> "RemoteScoreCache":
-        return RemoteScoreCache(self, maxsize=maxsize)
+    def score_cache(self, maxsize: int = 4096) -> DiskScoreCache:
+        """A fresh write-through score cache over the server's shards."""
+        return DiskScoreCache(self, maxsize=maxsize)
 
     # -- manifests -----------------------------------------------------------
 
@@ -458,10 +453,8 @@ class RemoteRunStore:
         """Every live record key of one kind, across all server shards."""
         return self.client.request({"op": "list_keys", "kind": kind})["keys"]
 
-    def gc(self) -> "GCStats":
+    def gc(self) -> GCStats:
         """Compact every server shard; one aggregated :class:`GCStats`."""
-        from repro.persist.store import GCStats
-
         payloads = self.client.request({"op": "gc"})["gc"]
         reports = [GCStats.from_dict(payload) for payload in payloads]
         merged = reports[0]
@@ -469,10 +462,8 @@ class RemoteRunStore:
             merged = merged.merged_with(report)
         return merged
 
-    def verify(self) -> "VerifyReport":
+    def verify(self) -> VerifyReport:
         """Audit every server shard; one aggregated :class:`VerifyReport`."""
-        from repro.persist.store import VerifyReport
-
         payloads = self.client.request({"op": "verify"})["verify"]
         reports = [VerifyReport.from_dict(payload) for payload in payloads]
         merged = reports[0]
@@ -497,16 +488,12 @@ class RemoteRunStore:
     def ping(self) -> dict[str, Any]:
         return self.client.request({"op": "ping"})
 
-    def shard_stats(self) -> "list[StoreStats]":
-        from repro.persist.store import StoreStats
-
+    def shard_stats(self) -> list[StoreStats]:
         response = self.client.request({"op": "stats"})
         return [StoreStats.from_dict(payload) for payload in response["stats"]]
 
-    def stats(self) -> "StoreStats":
+    def stats(self) -> StoreStats:
         """Service-wide totals as one StoreStats, rooted at the URL."""
-        from repro.persist.store import StoreStats
-
         shards = self.shard_stats()
         return StoreStats(
             root=self.url,
@@ -655,64 +642,3 @@ class RemoteResultCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteResultCache({self._store.url!r})"
-
-
-class RemoteScoreCache:
-    """Write-through score memo over the remote store.
-
-    Same layering as :class:`~repro.persist.DiskScoreCache`: a local LRU
-    in front, durable score records behind — here on the server's
-    shards, so warm scores are shared across machines too.
-    """
-
-    def __init__(self, store: RemoteRunStore, maxsize: int = 4096) -> None:
-        self._store = store
-        self._memory = ScoreCache(maxsize)
-        self._mu = threading.Lock()
-        self._disk_hits = 0
-        self._disk_puts = 0
-        self._unpersistable = 0
-
-    def get(self, key: Hashable) -> object | None:
-        score = self._memory.get(key)
-        if score is not None:
-            return score
-        dkey = disk_score_key(key)
-        if dkey is None:
-            return None
-        score = self._store.get_score(dkey)
-        if score is None:
-            return None
-        self._memory.put(key, score)
-        with self._mu:
-            self._disk_hits += 1
-        return score
-
-    def put(self, key: Hashable, score: object) -> None:
-        self._memory.put(key, score)
-        dkey = disk_score_key(key)
-        if dkey is None or not isinstance(score, Score):
-            with self._mu:
-                self._unpersistable += 1
-            return
-        assert isinstance(key, tuple)  # disk_score_key validated the shape
-        self._store.put_score(dkey, key[0], score)
-        with self._mu:
-            self._disk_puts += 1
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def stats(self) -> dict[str, int | str]:
-        with self._mu:
-            return stats_dict(
-                "score_cache",
-                backend="remote",
-                entries=len(self._memory),
-                disk_hits=self._disk_hits,
-                disk_puts=self._disk_puts,
-                unpersistable=self._unpersistable,
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteScoreCache({self._store.url!r}, entries={len(self)})"

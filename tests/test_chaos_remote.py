@@ -62,6 +62,23 @@ def resume_plan():
     return plan, specs
 
 
+class EveryNthRequest(FaultPlan):
+    """An overload schedule keyed to request order, not request content.
+
+    :class:`ChaosStoreServer` asks its plan about key ``op:<seq>``, its
+    ``seq``-th handled request; this plan refuses every ``n``-th one, so
+    refusals fire however few requests a sweep sends, and a replayed
+    request (a fresh ``seq``) is admitted.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def strikes(self, kind: str, key: str) -> bool:
+        return kind == "transient" and int(key.rsplit(":", 1)[1]) % self.n == 0
+
+
 class TestRemoteFaultLadders:
     def test_transient_faults_heal_bit_identically_over_the_wire(
         self, tmp_path
@@ -139,8 +156,8 @@ class TestRemoteFaultLadders:
         baseline = small_sweep(SerialExecutor())
         provider_faults = FaultPlan(seed=4, transient_rate=0.2,
                                     transient_times=1)
-        # every ~5th request answered with a typed overload refusal
-        overload = FaultPlan(seed=11, transient_rate=0.2, transient_times=1)
+        # every 3rd request answered with a typed overload refusal
+        overload = EveryNthRequest(3)
         root = tmp_path / "served"
         server = InProcessServer(
             root, server=ChaosStoreServer(root, overload_plan=overload)

@@ -539,6 +539,194 @@ class TestManifests:
         assert store.stats().generations == 0
 
 
+def other_plan() -> Plan:
+    from repro.core.experiments.configuration import configuration_task
+
+    plan = Plan("persist-test-other")
+    plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
+    return plan
+
+
+def scan_latest(root: Path, fingerprint: str | None):
+    """The full-scan definition: the last of a fresh handle's manifests()."""
+    candidates = [
+        m
+        for m in RunStore(root, create=False).manifests()
+        if fingerprint is None or m.plan_fingerprint == fingerprint
+    ]
+    return candidates[-1] if candidates else None
+
+
+class TestManifestIndex:
+    """``latest_manifest`` over the header index == the full history scan."""
+
+    FPS = (plan_fingerprint(small_plan()), plan_fingerprint(other_plan()), None)
+
+    def assert_agrees(self, *stores: RunStore) -> None:
+        for store in stores:
+            for fp in self.FPS:
+                assert store.latest_manifest(fp) == scan_latest(store.root, fp)
+
+    def put_variant(self, store: RunStore, template, **changes):
+        from dataclasses import replace
+
+        manifest = replace(template, **changes)
+        store.put_manifest(manifest)
+        return manifest
+
+    def test_two_handles_interleaving_record_run(self, tmp_path):
+        a, b = RunStore(tmp_path / "store"), RunStore(tmp_path / "store")
+        self.assert_agrees(a, b)
+        for i, plan_fn in enumerate(
+            [small_plan, other_plan, small_plan, small_plan, other_plan, small_plan]
+        ):
+            handle = (a, b)[i % 2]
+            plan = plan_fn()
+            expected = scan_latest(handle.root, plan_fingerprint(plan))
+            manifest = run(plan, store=handle).manifest
+            # the implicit resume link is the old scan's answer
+            assert manifest.resumed_from == (
+                expected.run_id if expected is not None else None
+            )
+            self.assert_agrees(a, b)
+        assert len(a.manifests()) == 6
+
+    def test_manifest_deleted_by_another_handle_or_gc(self, tmp_path):
+        a, b = RunStore(tmp_path / "store"), RunStore(tmp_path / "store")
+        first = run(small_plan(), store=a).manifest
+        second = run(small_plan(), store=b).manifest
+        run(other_plan(), store=a)
+        self.assert_agrees(a, b)  # both indexes now hold every header
+        (b.root / "manifests" / f"{second.run_id}.json").unlink()
+        self.assert_agrees(a, b)
+        assert a.latest_manifest(first.plan_fingerprint) == first
+        b.gc()
+        self.assert_agrees(a, b)
+        third = run(small_plan(), store=a).manifest
+        assert third.resumed_from == first.run_id
+        for manifest in a.manifests():
+            (a.root / "manifests" / f"{manifest.run_id}.json").unlink()
+        self.assert_agrees(a, b)
+        assert a.latest_manifest() is None and b.latest_manifest() is None
+
+    def test_unreadable_manifest_files_are_skipped(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        good = run(small_plan(), store=store).manifest
+        manifests = store.root / "manifests"
+        # sorts after every real run id, and would win if it parsed
+        garbage = manifests / "run-9999999999999-garbage.json"
+        garbage.write_text("{not json")
+        malformed = manifests / "run-9999999999999-malformed.json"
+        malformed.write_text(json.dumps({"run_id": "x", "started_unix": 1e12}))
+        self.assert_agrees(store)
+        assert store.latest_manifest() == good
+        # a winner that turns unreadable after being indexed is skipped too
+        newer = run(small_plan(), store=store).manifest
+        assert store.latest_manifest() == newer
+        (manifests / f"{newer.run_id}.json").write_text("")
+        self.assert_agrees(store)
+        assert store.latest_manifest() == good
+        # unreadable names are retried: one that turns valid is picked up
+        repaired = self.put_variant(
+            store,
+            good,
+            run_id="run-9999999999999-garbage",
+            started_unix=good.started_unix + 1,
+        )
+        assert store.latest_manifest() == repaired
+        garbage.unlink()
+        malformed.unlink()
+        self.assert_agrees(store)
+
+    def test_same_millisecond_orders_by_started_unix_not_run_id(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        template = run(small_plan(), store=store).manifest
+        fp = template.plan_fingerprint
+        ms = "run-0000000001000"
+        # same millisecond; started_unix order is the reverse of id order
+        late = self.put_variant(
+            store, template, run_id=f"{ms}-a-p1-0", started_unix=1.0006
+        )
+        self.put_variant(store, template, run_id=f"{ms}-b-p1-0", started_unix=1.0002)
+        self.assert_agrees(store)
+        assert store.latest_manifest(fp) == template  # started now, not at 1 s
+        (store.root / "manifests" / f"{template.run_id}.json").unlink()
+        assert store.latest_manifest(fp) == late
+        # an exact started_unix tie falls back to the run id
+        tie = self.put_variant(
+            store, template, run_id=f"{ms}-c-p1-0", started_unix=1.0006
+        )
+        self.assert_agrees(store)
+        assert store.latest_manifest(fp) == tie
+        # one (started_unix, run_id) under two file names: the later name
+        # wins, as in manifests()' sorted listing
+        twin = self.put_variant(store, tie, wall_seconds=tie.wall_seconds + 1)
+        os.replace(
+            store.root / "manifests" / f"{tie.run_id}.json",
+            store.root / "manifests" / f"{tie.run_id}~twin.json",
+        )
+        store.put_manifest(tie)
+        self.assert_agrees(store)
+        assert store.latest_manifest(fp) == twin
+        linked = run(small_plan(), store=store).manifest
+        assert linked.resumed_from == tie.run_id
+        self.assert_agrees(store)
+
+    def test_concurrent_readers_and_writers_share_one_index(self, tmp_path):
+        """The server's threads all ask ``stores[0]``: the index is locked."""
+        import threading
+
+        store = RunStore(tmp_path / "store")
+        template = run(small_plan(), store=store).manifest
+        # each starts later than the last, so every put is the new latest
+        writes = [
+            template.__class__.from_payload(
+                {**template.to_payload(), "run_id": f"run-w{i:04d}",
+                 "started_unix": template.started_unix + 1 + i}
+            )
+            for i in range(150)
+        ]
+        errors: list[BaseException] = []
+        seen: list[list[float]] = [[] for _ in range(6)]
+
+        def reader(out: list[float]) -> None:
+            try:
+                for _ in range(400):
+                    out.append(store.latest_manifest().started_unix)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        def writer() -> None:
+            # appends, and prunes old runs the way a peer handle could
+            try:
+                for i, manifest in enumerate(writes):
+                    store.put_manifest(manifest)
+                    if i >= 2:
+                        old = writes[i - 2].run_id
+                        (store.root / "manifests" / f"{old}.json").unlink()
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(out,)) for out in seen]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for out in seen:
+            assert len(out) == 400
+            assert out == sorted(out)  # the latest never moves backwards
+        assert store.latest_manifest() == writes[-1]
+        self.assert_agrees(store)
+
+
 class TestResumableSweep:
     def test_table1_sweep_resumes_bit_identical(self, tmp_path):
         """Acceptance: warm second pass = zero generations, identical grid."""
