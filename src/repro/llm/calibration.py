@@ -21,6 +21,15 @@ below the cursor's depth (``local_recalibrate``'s full-scan fallback)
 rebuilds the cursor there.  No text is joined unless a caller reads it
 through :meth:`QualityCurve.text`.
 
+Two kinds of work are never repeated.  A *no-op depth* — an operator
+that returns its input list, or an equal one (a rename whose word is
+gone, an anchor that is missing) — reuses the memoized score of depth
+``k-1`` in O(1): no line diff, no cursor move, no BLEU arithmetic.  And
+a curve that starts at depth 0 does not count the reference: it gets a
+copy of the cursor its :class:`~repro.metrics.compiled.CompiledReference`
+holds on the reference's own lines (:meth:`CompiledReference.bleu_cursor`),
+counted once per reference and never moved.
+
 The k with minimum ``|BLEU(k) − target|`` is selected by a straight
 scan rather than bisection because the curve is only *approximately*
 monotone — individual operators vary in impact.
@@ -136,9 +145,20 @@ class QualityCurve:
 
     def _score_unmemoized(self, k: int) -> float:
         lines = self._state(k)
+        if k:
+            previous = self._states[k - 1]
+            if lines is previous or lines == previous:
+                # a no-op depth scores what depth k-1 scored
+                score = self._scores.get(k - 1)
+                if score is not None:
+                    if self._cursor_k == k - 1:
+                        self._cursor_k = k
+                    return score
         cursor = self._cursor
         if cursor is None or k < self._cursor_k:
-            cursor = self._cursor = BleuCursor(self.compiled)
+            cursor = self._cursor = (
+                self.compiled.bleu_cursor() if k == 0 else BleuCursor(self.compiled)
+            )
         else:
             # walk the intermediate states: one operator's change per step
             for j in range(self._cursor_k + 1, k):

@@ -45,8 +45,21 @@ class CorruptionOp:
 
 
 def _replace_word(lines: list[str], old: str, new: str) -> list[str]:
+    """``lines`` with whole-word ``old`` renamed to ``new``, copy on write.
+
+    Only lines containing ``old`` run the substitution.  When no line
+    changes, the input list itself is returned; it is never mutated.
+    """
     pattern = re.compile(rf"\b{re.escape(old)}\b")
-    return [pattern.sub(new, ln) for ln in lines]
+    out = None
+    for i, ln in enumerate(lines):
+        if old in ln:
+            renamed = pattern.sub(new, ln)
+            if renamed != ln:
+                if out is None:
+                    out = list(lines)
+                out[i] = renamed
+    return lines if out is None else out
 
 
 def _drop_anchor(lines: list[str], anchor: str) -> list[str]:

@@ -11,6 +11,7 @@ own mteval tokenizer).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 _CHUNK = 4
@@ -27,6 +28,8 @@ def encode(text: str) -> list[str]:
     return tokens
 
 
+@lru_cache(maxsize=4096)
 def count_tokens(text: str) -> int:
-    """Number of pseudo-subword tokens in ``text``."""
+    """Number of pseudo-subword tokens in ``text`` (memoized: prompts repeat
+    across trials and models)."""
     return len(encode(text))

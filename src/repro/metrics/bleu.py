@@ -82,6 +82,28 @@ def _compute_score(
     smooth_value: float | None,
     max_order: int,
 ) -> BleuScore:
+    score, precisions = _score_and_precisions(
+        counts, totals, sys_len, ref_len, smooth_method, smooth_value, max_order
+    )
+    bp = _brevity_penalty(sys_len, ref_len)
+    return BleuScore(score, precisions, bp, sys_len, ref_len, counts, totals)
+
+
+def _score_and_precisions(
+    counts: Sequence[int],
+    totals: Sequence[int],
+    sys_len: int,
+    ref_len: int,
+    smooth_method: str,
+    smooth_value: float | None,
+    max_order: int,
+) -> tuple[float, list[float]]:
+    """The BLEU formula: (score, smoothed per-order precisions).
+
+    The one copy of the arithmetic, shared by :func:`_compute_score` and
+    :meth:`repro.metrics.compiled.BleuCursor.bleu`; it keeps no
+    reference to ``counts`` or ``totals``.
+    """
     precisions = [0.0] * max_order
     smooth_mteval = 1.0
     effective_order = max_order
@@ -112,19 +134,15 @@ def _compute_score(
     if effective_order == 0 or sys_len == 0 or ref_len == 0:
         # sys_len == 0: nothing was produced; ref_len == 0: nothing to
         # match, so smoothing must not fabricate a positive score
-        bp = 0.0 if sys_len == 0 else _brevity_penalty(sys_len, ref_len)
-        return BleuScore(0.0, precisions, bp, sys_len, ref_len, counts, totals)
+        return 0.0, precisions
 
     usable = precisions[:effective_order] if effective_order < max_order else precisions
     if any(p <= 0.0 for p in usable):
-        score = 0.0
-    else:
-        log_avg = sum(math.log(p) for p in usable) / len(usable)
-        score = math.exp(log_avg)
-        score *= _brevity_penalty(sys_len, ref_len)
-        score = min(score, 100.0)
-    bp = _brevity_penalty(sys_len, ref_len)
-    return BleuScore(score, precisions, bp, sys_len, ref_len, counts, totals)
+        return 0.0, precisions
+    log_avg = sum(math.log(p) for p in usable) / len(usable)
+    score = math.exp(log_avg)
+    score *= _brevity_penalty(sys_len, ref_len)
+    return min(score, 100.0), precisions
 
 
 def _brevity_penalty(sys_len: int, ref_len: int) -> float:

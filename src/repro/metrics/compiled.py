@@ -33,7 +33,7 @@ from itertools import chain
 from typing import Sequence
 
 from repro.errors import MetricError
-from repro.metrics.bleu import DEFAULT_MAX_ORDER, _compute_score
+from repro.metrics.bleu import DEFAULT_MAX_ORDER, _compute_score, _score_and_precisions
 from repro.metrics.chrf import DEFAULT_BETA, DEFAULT_CHAR_ORDER, _fscore
 from repro.metrics.tokenizers import (
     char_ngrams,
@@ -61,6 +61,7 @@ class CompiledReference:
         "_char_grams",
         "_char_totals",
         "_kernels",
+        "_cursor",
     )
 
     def __init__(self, text: str) -> None:
@@ -74,6 +75,9 @@ class CompiledReference:
         # repro.metrics.kernels (False marks "vectorization unsupported
         # for this reference/options", e.g. packed codes would overflow)
         self._kernels: dict[tuple, object] = {}
+        # the BleuCursor on the reference's own lines (False: the lines
+        # break the per-line tokenization preconditions)
+        self._cursor: BleuCursor | bool | None = None
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -106,6 +110,22 @@ class CompiledReference:
                 table.update(self.token_ngrams(order))
             self._ngram_tables[max_order] = table
         return table
+
+    def bleu_cursor(self) -> BleuCursor:
+        """A fresh :class:`BleuCursor` already on the reference's lines.
+
+        The reference is counted once, into a cursor this object keeps
+        and never moves; every call returns a copy of it, which shares no
+        mutable state with it.  A reference whose lines the cursor
+        refuses yields an unpositioned cursor.
+        """
+        base = self._cursor
+        if base is None:
+            base = BleuCursor(self)
+            if not base.move(self.text.split("\n")):
+                base = False
+            self._cursor = base
+        return base.copy() if base else BleuCursor(self)
 
     def char_grams(self, order: int, remove_whitespace: bool = True) -> Counter:
         """Character ``order``-gram multiset (computed once per options)."""
@@ -334,6 +354,17 @@ class BleuCursor:
         self._lines = lines
         return True
 
+    def copy(self) -> BleuCursor:
+        """A cursor on the same lines whose moves leave this one as it is."""
+        clone = BleuCursor.__new__(BleuCursor)
+        clone._ref_len, clone._table = self._ref_len, self._table
+        clone._lines = self._lines  # never mutated: moves rebind it
+        clone._tokens = list(self._tokens)
+        clone._counts = dict(self._counts)
+        clone._matches = list(self._matches)
+        clone._sys_len = self._sys_len
+        return clone
+
     def _splice(self, lo: int, hi: int, fresh: list[tuple[str, ...]]) -> None:
         """Replace the tokens of lines ``lo..hi-1`` with ``fresh``."""
         per_line = self._tokens
@@ -410,10 +441,10 @@ class BleuCursor:
         """Sentence BLEU (exp smoothing) of the lines the cursor is on."""
         sys_len = self._sys_len
         totals = [max(sys_len - n, 0) for n in range(DEFAULT_MAX_ORDER)]
-        return _compute_score(
-            list(self._matches), totals, sys_len, self._ref_len,
+        return _score_and_precisions(
+            self._matches, totals, sys_len, self._ref_len,
             "exp", None, DEFAULT_MAX_ORDER,
-        ).score
+        )[0]
 
 
 def _common_prefix(a: Sequence[str], b: Sequence[str], limit: int) -> int:

@@ -4,14 +4,16 @@ Shared by the Wilkins runtime (built from YAML), the Henson scheduler
 (built from ``.hwl`` scripts), and the examples.  A node is a
 :class:`TaskSpec`; an edge is a :class:`DataLink` naming the dataset that
 flows producer → consumer and the transport used (``file`` or ``memory``).
+
+``networkx`` is imported by the :class:`WorkflowGraph` methods that use
+it, so importing :mod:`repro.workflows` (as the reporting layer does)
+does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
-
-import networkx as nx
 
 from repro.errors import WorkflowError
 
@@ -53,6 +55,8 @@ class WorkflowGraph:
     """A directed graph of tasks with dataset-labelled edges."""
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self._g = nx.MultiDiGraph()
         self._tasks: dict[str, TaskSpec] = {}
         self._links: list[DataLink] = []
@@ -108,11 +112,15 @@ class WorkflowGraph:
         return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
 
     def is_dag(self) -> bool:
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self._g)
 
     def topological_order(self) -> list[str]:
         if not self.is_dag():
             raise WorkflowError("workflow graph has cycles; no topological order")
+        import networkx as nx
+
         # lexicographic tie-break keeps ordering deterministic across runs
         return list(nx.lexicographical_topological_sort(self._g))
 
@@ -124,6 +132,8 @@ class WorkflowGraph:
         if not self._tasks:
             raise WorkflowError("workflow has no tasks")
         if len(self._tasks) > 1:
+            import networkx as nx
+
             undirected = self._g.to_undirected(as_view=True)
             if not nx.is_connected(undirected):
                 raise WorkflowError("workflow graph is not connected")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GenerationError, UnknownModelError
 from repro.llm import (
@@ -50,6 +52,14 @@ class TestTokenizer:
 
     def test_count_scales_with_text(self):
         assert count_tokens("word " * 100) == 100
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(max_size=200))
+    def test_cached_count_equals_encode(self, text):
+        assert count_tokens(text) == len(encode(text))
+        hits = count_tokens.cache_info().hits
+        assert count_tokens(text) == len(encode(text))
+        assert count_tokens.cache_info().hits == hits + 1
 
 
 class TestSampling:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.assets import annotated_producer, reference_config
 from repro.errors import CalibrationError
@@ -30,7 +33,7 @@ from repro.llm.corruption import (
 from repro.llm.knowledge import SystemKnowledge
 from repro.llm.profiles import ALL_PROFILES
 from repro.metrics import bleu
-from repro.metrics.compiled import bleu_compiled, compile_reference
+from repro.metrics.compiled import BleuCursor, bleu_compiled, compile_reference
 from repro.metrics.tokenizers import tokenize_lines
 from repro.utils.rng import rng_for
 from repro.utils.text import strip_markdown_chatter
@@ -178,6 +181,35 @@ class TestQualityCurve:
         assert curve.scores_computed == computed
 
 
+# words that sit inside other words ("n" in "rank"), regex metacharacters,
+# and words absent from every line
+RENAME_WORDS = ["n", "rank", "a.b", "x+", "(c)", "[0]", "$v", "a|b", "\\d", "nprocs",
+                "absent", ""]
+rename_line = st.lists(
+    st.sampled_from(RENAME_WORDS[:-2] + [" ", "=", "-", "_", "n_1", "ranks", "."]),
+    max_size=8,
+).map("".join)
+
+
+class TestReplaceWord:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(rename_line, max_size=6),
+        old=st.sampled_from(RENAME_WORDS),
+        new=st.sampled_from(["m", "size", "n", "a.b", ""]),
+    )
+    @example(lines=["rank = n", "n_1 ranks"], old="n", new="m")
+    @example(lines=["a.b axb", "(c)"], old="a.b", new="q")
+    @example(lines=["x", "y"], old="absent", new="z")
+    def test_equals_whole_list_substitution(self, lines, old, new):
+        before = list(lines)
+        got = _replace_word(lines, old, new)
+        expected = [re.sub(rf"\b{re.escape(old)}\b", new, ln) for ln in lines]
+        assert got == expected
+        assert lines == before  # never mutates its input
+        assert (got is lines) == (expected == lines)
+
+
 def simulator_cells():
     """(label, reference, ops) for every model x experiment cell, built
     the way :class:`~repro.llm.simulated.SimulatedModel` builds them."""
@@ -217,14 +249,18 @@ def op(apply) -> CorruptionOp:
 EDGE_REF = ".5 start\nalpha = 1\n\nbeta = 2.\ngamma(3, 4)\nend 5."
 
 EDGE_OPS = [
+    op(lambda lines: lines),  # a no-op at depth 1: the input list itself
     op(lambda lines: ["0.25 header"] + lines),  # insert at line 0
     op(lambda lines: _insert_after(lines, "no such anchor", "tail 7.")),  # append
     op(lambda lines: lines[1:]),  # delete the first line
     op(lambda lines: lines[:-1]),  # delete the last line
     op(lambda lines: lines[:2] + ["", ""] + lines[2:]),  # empty lines
     op(lambda lines: _replace_word(lines, "beta", "delta")),
+    op(lambda lines: _replace_word(lines, "beta", "delta")),  # rename no-op ...
+    op(lambda lines: list(lines)),  # ... and an equal new list: two in a row
     op(lambda lines: _drop_anchor(lines, "gamma")),
     op(lambda lines: lines[:1] + ["split-"] + lines[1:]),  # hyphenation: fallback
+    op(lambda lines: list(lines)),  # a no-op right after a fallback depth
     op(lambda lines: _drop_anchor(lines, "split-")),
     op(lambda lines: lines[:1] + ["carriage\rreturn"] + lines[1:]),  # fallback
     op(lambda lines: _drop_anchor(lines, "carriage")),
@@ -305,12 +341,54 @@ class TestQualityCurveDeltaEngine:
         monkeypatch.setattr(calibration, "bleu_compiled", counted)
         curve = QualityCurve(EDGE_REF, EDGE_OPS)
         curve.scores()
-        refused = [
-            "\n".join(lines)
-            for lines in depth_lines(EDGE_REF, EDGE_OPS)
-            if tokenize_lines(lines) is None
+        states = depth_lines(EDGE_REF, EDGE_OPS)
+        refused = [k for k, lines in enumerate(states) if tokenize_lines(lines) is None]
+        # a no-op depth after a refused one reuses its score, unscored
+        no_ops = [k for k in refused if states[k] == states[k - 1]]
+        assert no_ops
+        assert calls == ["\n".join(states[k]) for k in refused if k not in no_ops]
+
+    def test_no_op_depths_reuse_the_previous_score(self, monkeypatch):
+        scored = []
+        real = BleuCursor.bleu
+
+        def counted(cursor):
+            scored.append(1)
+            return real(cursor)
+
+        monkeypatch.setattr(BleuCursor, "bleu", counted)
+        curve = self.assert_exact(EDGE_REF, EDGE_OPS)
+        states = depth_lines(EDGE_REF, EDGE_OPS)
+        no_ops = [k for k in range(1, len(states)) if states[k] == states[k - 1]]
+        assert no_ops[:1] == [1]  # the depth-1 no-op, and more after it
+        assert 4 <= len(no_ops) < len(states)
+        refused = [k for k, lines in enumerate(states) if tokenize_lines(lines) is None]
+        cursor_scored = set(range(len(states))) - set(no_ops) - set(refused)
+        assert len(scored) == len(cursor_scored)
+        # reused depths still count as computed
+        assert curve.scores_computed == len(states)
+
+    def test_two_curves_on_one_compiled_reference_alternate(self):
+        compiled = compile_reference(REF)
+        ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))
+        epoch_ops = shuffle_within_bands(ops, rng_for("alternate"))
+        curves = [QualityCurve(REF, ops, compiled=compiled),
+                  QualityCurve(REF, epoch_ops, compiled=compiled)]
+        curves[0].score(0)
+        base = compiled._cursor
+        snapshot = (base._lines, list(base._tokens), dict(base._counts),
+                    list(base._matches), base._sys_len)
+        expected = [
+            [bleu_compiled("\n".join(lines), compiled) for lines in depth_lines(REF, o)]
+            for o in (ops, epoch_ops)
         ]
-        assert refused and calls == refused
+        for k in range(len(curves[0])):
+            for curve, want in zip(curves, expected):
+                assert curve.score(k) == want[k], k
+        assert curves[0]._cursor is not curves[1]._cursor
+        assert compiled._cursor is base
+        assert (base._lines, base._tokens, base._counts, base._matches,
+                base._sys_len) == snapshot
 
     def test_concurrent_scorers_share_one_memo(self):
         ops = build_ops(REF, wilkins_knowledge(), seed_labels=("t",))

@@ -10,11 +10,11 @@ without fabricating positive similarity.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import bleu, chrf
-from repro.metrics.bleu import corpus_bleu
+from repro.metrics.bleu import _compute_score, corpus_bleu
 from repro.metrics.compiled import (
     BleuCursor,
     CompiledReference,
@@ -218,6 +218,47 @@ class TestBleuCursor:
             ref[1:],
             [""] + ref + [""],
         ])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sys_len=st.integers(0, 12),
+        ref_len=st.integers(0, 12),
+        wanted=st.lists(st.integers(0, 12), min_size=4, max_size=4),
+    )
+    @example(sys_len=3, ref_len=5, wanted=[3, 1, 0, 0])  # sys_len < 4 and < ref_len
+    @example(sys_len=6, ref_len=0, wanted=[6, 5, 4, 3])
+    def test_bleu_is_the_shared_formula_bit_for_bit(self, sys_len, ref_len, wanted):
+        # zero matches at any order, short hypotheses, brevity, ref_len 0
+        totals = [max(sys_len - n, 0) for n in range(4)]
+        matches = [min(m, total) for m, total in zip(wanted, totals)]
+        cursor = BleuCursor(compile_reference(self.REFERENCE))
+        cursor._matches, cursor._sys_len, cursor._ref_len = list(matches), sys_len, ref_len
+        expected = _compute_score(matches, totals, sys_len, ref_len, "exp", None, 4).score
+        assert cursor.bleu().hex() == expected.hex()
+        assert cursor._matches == matches
+
+    def test_reference_cursor_is_counted_once_and_cloned(self):
+        compiled = CompiledReference(self.REFERENCE)
+        first, second = compiled.bleu_cursor(), compiled.bleu_cursor()
+        base = compiled._cursor
+        assert base is not first and base is not second
+        snapshot = (list(base._tokens), dict(base._counts), list(base._matches),
+                    base._sys_len)
+        assert first.bleu() == second.bleu() == 100.0
+        ref = self.REFERENCE.split("\n")
+        moved = ref[:2] + ["a b 5. x."] + ref[3:]
+        assert first.move(moved)
+        assert first.bleu() == bleu_compiled("\n".join(moved), compiled)
+        assert second.bleu() == 100.0  # clones share no mutable state
+        assert (base._tokens, base._counts, base._matches, base._sys_len) == snapshot
+        assert compiled._cursor is base
+
+    def test_reference_cursor_on_refused_lines_is_unpositioned(self):
+        compiled = CompiledReference("one single line")
+        cursor = compiled.bleu_cursor()
+        assert compiled._cursor is False
+        assert cursor._lines is None
+        assert not cursor.move(["one single line"])
 
     def test_line_tokens_is_the_tokenizer_rule(self):
         lines = ["x.", ".5 a", "b 5."]
