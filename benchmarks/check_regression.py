@@ -97,22 +97,6 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
     "obs": {
         "overhead": (("armed_vs_baseline", "armed_ms", "baseline_ms"),),
     },
-    "resilience": {
-        "overhead": (
-            (
-                "replicated_vs_bare",
-                "replicated_get_ms_per_record",
-                "bare_get_ms_per_record",
-            ),
-        ),
-        "failover": (
-            (
-                "open_breaker_vs_healthy",
-                "open_breaker_ms_per_read",
-                "healthy_ms_per_read",
-            ),
-        ),
-    },
 }
 
 # absolute floors, mode-independent: these are ratios of two same-run
@@ -128,15 +112,9 @@ SECTION_TRACKED: dict[str, dict[str, tuple[tuple[str, str, str], ...]]] = {
 # pipelined loopback reads lost their batching (measured ~1.3x on an
 # idle machine; the cap absorbs CI loopback jitter, while a client that
 # stops pipelining or pooling overshoots it by an order of magnitude);
-# obs_over_baseline past 1.05 means armed tracing + metering costs more
-# than 5% on a run (same alternating best-of-N construction as the
-# fault-policy cap, so the ratio is hardware-normalized);
-# breaker_over_remote past 1.05 means the armed-but-idle circuit breaker
-# costs more than 5% over the bare remote path (alternating best-of-N
-# against the same server, so hardware-normalized); and
-# open_breaker_over_healthy past 3x means reads with a dead replica's
-# breaker open stopped skipping the corpse — the whole point of the
-# breaker is that steady-state cost stays near the healthy path.
+# and obs_over_baseline past 1.05 means armed tracing + metering costs
+# more than 5% on a run (same alternating best-of-N construction as the
+# fault-policy cap, so the ratio is hardware-normalized).
 ABSOLUTE_CAPS: tuple[tuple[str, str, str, float], ...] = (
     ("persist", "records", "get_over_put", 2.0),
     ("faults", "overhead", "policy_over_baseline", 1.05),
@@ -145,8 +123,6 @@ ABSOLUTE_CAPS: tuple[tuple[str, str, str, float], ...] = (
     ("kernels", "wilkins", "vectorized_over_compiled", 1.5),
     ("serve", "remote_records", "remote_get_over_local_get", 25.0),
     ("obs", "overhead", "obs_over_baseline", 1.05),
-    ("resilience", "overhead", "breaker_over_remote", 1.05),
-    ("resilience", "failover", "open_breaker_over_healthy", 3.0),
 )
 
 

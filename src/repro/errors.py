@@ -70,20 +70,6 @@ class ServerOverloadedError(RemoteStoreError):
     """
 
 
-class BreakerOpenError(StoreError, ModelError):
-    """A circuit breaker is open: the call was refused without being tried.
-
-    Raised by :class:`~repro.runtime.health.HealthTracker`-guarded call
-    sites (remote-store clients, model providers) while the target's
-    rolling error rate keeps the breaker open.  Like
-    :class:`RemoteStoreError` it is both a :class:`StoreError` and a
-    retryable :class:`ModelError`: a
-    :class:`~repro.runtime.faults.FaultPolicy`-armed run backs off and
-    retries, by which time the breaker may have half-opened and let a
-    probe through.
-    """
-
-
 class UnknownModelError(ModelError):
     """The requested model name is not registered."""
 

@@ -1,7 +1,6 @@
 """Observability: phase profiles, distributed traces, metrics, trends.
 
-The telemetry layer of the runtime, grown out of the PR-5 ``repro.perf``
-span profiler (which remains importable as a deprecation shim).  Four
+The telemetry layer of the runtime, grown out of a span profiler.  Four
 concerns, one ``span()``:
 
 * **Phase profiling** (:mod:`repro.obs.spans`) — nestable wall-time

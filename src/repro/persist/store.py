@@ -74,7 +74,7 @@ except ImportError:  # pragma: no cover - exotic builds only
     mmap = None  # type: ignore[assignment]
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.scorers import Score
 from repro.errors import PersistError, RecordCorruptError, StoreError
@@ -811,24 +811,6 @@ class RunStore:
             raise PersistError(f"unknown record kind {kind!r}")
         return self._read_many(kind, keys)
 
-    def keys(self, kind: str) -> list[str]:
-        """Every live record key of one kind (sorted).
-
-        The inventory surface replica reconciliation
-        (``python -m repro.serve sync``) diffs: cheap — one index scan,
-        no record reads.
-        """
-        if kind not in RECORD_KINDS:
-            raise PersistError(f"unknown record kind {kind!r}")
-        self.refresh()
-        prefix = f"{kind}:"
-        with self._mu:
-            return sorted(
-                key[len(prefix):]
-                for key in self._index
-                if key.startswith(prefix)
-            )
-
     def put_records(self, payloads: Sequence[dict[str, Any]]) -> int:
         """Append raw record payloads (as produced by the record codecs).
 
@@ -1058,11 +1040,17 @@ class RunStore:
             problems=tuple(problems),
         )
 
-    def gc(self) -> GCStats:
+    def gc(
+        self, *, owns_generation: Callable[[str], bool] | None = None
+    ) -> GCStats:
         """Compact: rewrite live records into one fresh segment, drop the rest.
 
         Live means: the newest record per key, checksum-valid, and — for
         scores — still referencing a generation present in the store.
+        ``owns_generation`` (a generation key -> bool predicate) is for a
+        store holding one shard of a keyspace: a score whose generation
+        the predicate places on another shard cannot be judged here, so
+        it is kept rather than dropped as an orphan.
 
         One streaming pass: each segment is scanned once, the newest raw
         line per key is kept verbatim (no re-encode, no re-hash — the
@@ -1104,7 +1092,13 @@ class RunStore:
                 orphans = [
                     ikey
                     for ikey, entry in live.items()
-                    if entry[1] == SCORE_KIND and entry[2] not in gen_keys
+                    if entry[1] == SCORE_KIND
+                    and entry[2] not in gen_keys
+                    and (
+                        owns_generation is None
+                        or entry[2] is None
+                        or owns_generation(entry[2])
+                    )
                 ]
                 for ikey in orphans:
                     del live[ikey]

@@ -54,11 +54,6 @@ from repro.runtime.faults import (
     active_faults,
     fault_scope,
 )
-from repro.runtime.health import (
-    BreakerRegistry,
-    HealthTracker,
-    HealthTrackedProvider,
-)
 from repro.runtime.plan import EvalSpec, Plan
 from repro.runtime.runner import RunResult, RunStats, run, score_key
 from repro.runtime.scoring import (
@@ -95,9 +90,6 @@ __all__ = [
     "FailedGeneration",
     "fault_scope",
     "active_faults",
-    "HealthTracker",
-    "BreakerRegistry",
-    "HealthTrackedProvider",
     "BatchingExecutor",
     "group_units_by_model",
     "Scheduler",

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterator
 
 from repro.errors import (
-    BreakerOpenError,
     CalibrationError,
     DeadlineExceededError,
     GenerationError,
@@ -130,30 +129,13 @@ class FaultPolicy:
       ``"raise"`` propagates, ``"isolate"`` quarantines it (accessing
       its evaluations raises :class:`~repro.errors.UnitFailedError`),
       ``"skip"`` quarantines and silently drops it from assembled
-      results;
-    * ``health`` — an optional
-      :class:`~repro.runtime.health.BreakerRegistry`: every attempt's
-      outcome feeds the unit's model's circuit breaker, and while that
-      breaker is open, attempts are refused (a retryable
-      :class:`~repro.errors.BreakerOpenError`) without touching the
-      provider.  Hand the same registry to
-      :class:`~repro.runtime.schedule.AdaptiveScheduler` for
-      fault-aware ordering;
-    * ``shared_budget`` — an optional cross-process retry budget (any
-      object with ``try_acquire() -> bool``, e.g.
-      :class:`~repro.serve.client.RemoteRetryBudget` backed by a
-      store server's shared counter).  When set, it governs instead of
-      the local ``retry_budget``; when it errors (the counter server is
-      unreachable), the local budget takes back over — fail open, not
-      stuck.
+      results.
     """
 
     retry: RetryPolicy = RetryPolicy()
     unit_deadline_s: float | None = None
     retry_budget: int | None = None
     on_failure: str = "raise"
-    health: Any = None
-    shared_budget: Any = None
 
     def __post_init__(self) -> None:
         if self.on_failure not in ON_FAILURE_MODES:
@@ -168,16 +150,6 @@ class FaultPolicy:
         if self.retry_budget is not None and self.retry_budget < 0:
             raise HarnessError(
                 f"retry_budget must be >= 0, got {self.retry_budget}"
-            )
-        if self.health is not None and not hasattr(self.health, "get"):
-            raise HarnessError(
-                "health must be a BreakerRegistry-like object with .get(name)"
-            )
-        if self.shared_budget is not None and not hasattr(
-            self.shared_budget, "try_acquire"
-        ):
-            raise HarnessError(
-                "shared_budget must expose try_acquire() -> bool"
             )
 
     @property
@@ -302,21 +274,8 @@ class FaultState:
 
     def _acquire_retry(self, uid: str, cost_s: float) -> bool:
         """One retry token from the shared budget; False when spent."""
-        # The cross-process budget does network I/O, so consult it
-        # outside the lock.  None = no verdict (unset, or the counter
-        # server was unreachable) → the local budget governs.
-        shared = self.policy.shared_budget
-        granted: bool | None = None
-        if shared is not None:
-            try:
-                granted = bool(shared.try_acquire())
-            except Exception:
-                granted = None  # fail open to the local budget
         with self._mu:
-            if granted is False:
-                self.budget_exhausted = True
-                return False
-            if granted is None and self._budget_left is not None:
+            if self._budget_left is not None:
                 if self._budget_left <= 0:
                     self.budget_exhausted = True
                     return False
@@ -325,24 +284,6 @@ class FaultState:
             self.retry_seconds += cost_s
             self._retried_uids.add(uid)
             return True
-
-    def _tracker(self, unit: WorkUnit):
-        """The unit's model's circuit breaker, when health tracking is on."""
-        health = self.policy.health
-        return health.get(unit.model) if health is not None else None
-
-    @staticmethod
-    def _observe(tracker, exc: BaseException | None) -> None:
-        """Feed one real attempt's outcome into the model's breaker."""
-        if tracker is None:
-            return
-        if exc is None:
-            tracker.record_success()
-            return
-        from repro.runtime.health import _counts_against_breaker
-
-        if _counts_against_breaker(exc):
-            tracker.record_failure()
 
     def _note_sleep(self, seconds: float) -> None:
         with self._mu:
@@ -402,20 +343,13 @@ class FaultState:
     ) -> "Generation | FailedGeneration":
         """Drive one unit under the policy: retry, deadline, isolate."""
         started = time.perf_counter()
-        tracker = self._tracker(unit)
         attempt = 0
         while True:
             attempt += 1
             attempt_started = time.perf_counter()
             try:
-                if tracker is not None and not tracker.allow():
-                    raise BreakerOpenError(
-                        f"model {unit.model!r} breaker is "
-                        f"{tracker.state}; attempt refused"
-                    )
                 result = generate_once(unit)
             except Exception as exc:
-                self._observe(tracker, exc)
                 attempt_elapsed = time.perf_counter() - attempt_started
                 outcome = self._after_failed_attempt(
                     unit, exc, attempt, started, attempt_elapsed
@@ -425,7 +359,6 @@ class FaultState:
                 self._note_sleep(outcome)
                 time.sleep(outcome)
             else:
-                self._observe(tracker, None)
                 return result
 
     # -- async path ----------------------------------------------------------
@@ -439,17 +372,11 @@ class FaultState:
         the deadline are genuinely cancelled via ``asyncio.wait_for``."""
         policy = self.policy
         started = time.perf_counter()
-        tracker = self._tracker(unit)
         attempt = 0
         while True:
             attempt += 1
             attempt_started = time.perf_counter()
             try:
-                if tracker is not None and not tracker.allow():
-                    raise BreakerOpenError(
-                        f"model {unit.model!r} breaker is "
-                        f"{tracker.state}; attempt refused"
-                    )
                 deadline = policy.unit_deadline_s
                 if deadline is not None:
                     remaining = deadline - (time.perf_counter() - started)
@@ -474,7 +401,6 @@ class FaultState:
                 else:
                     result = await generate_once(unit)
             except Exception as exc:
-                self._observe(tracker, exc)
                 attempt_elapsed = time.perf_counter() - attempt_started
                 outcome = self._after_failed_attempt(
                     unit, exc, attempt, started, attempt_elapsed
@@ -484,7 +410,6 @@ class FaultState:
                 self._note_sleep(outcome)
                 await asyncio.sleep(outcome)
             else:
-                self._observe(tracker, None)
                 return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -499,7 +424,7 @@ class FaultState:
 # A module-level global, not a threading.local: executors hand units to
 # worker threads (ThreadedExecutor), simulated MPI rank threads and
 # process-adjacent event loops, none of which inherit the installing
-# thread's locals.  Mirrors repro.perf's active-profiler pattern.  One
+# thread's locals.  Mirrors repro.obs's active-profiler pattern.  One
 # scope at a time: nested scopes raise rather than silently shadow.
 
 _active: FaultState | None = None

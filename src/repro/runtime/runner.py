@@ -19,7 +19,7 @@ changes.
 
 :class:`RunStats` records how much work the model layer *and* the
 metric layer actually did, which is what the cache and scaling tests
-assert on.  When a :mod:`repro.perf` profiler is active the run's phase
+assert on.  When a :mod:`repro.obs` profiler is active the run's phase
 breakdown (cache-get / generate / cache-put / score, with nested
 store-io spans) is attached as :attr:`RunStats.profile`.
 """

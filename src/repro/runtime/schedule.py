@@ -112,48 +112,20 @@ class ExpectedCostModel:
 
 
 class AdaptiveScheduler:
-    """Longest-expected-unit-first ordering, optionally health-aware.
+    """Longest-expected-unit-first ordering.
 
     The sort is stable, so units with equal estimates keep plan order —
     a cold cost model makes this scheduler behave exactly like
     :class:`PlanOrderScheduler`.
-
-    When a :class:`~repro.runtime.health.BreakerRegistry` is attached
-    (share the one on the run's
-    :class:`~repro.runtime.faults.FaultPolicy`), units whose model's
-    breaker is currently **open** sort behind every healthy unit: the
-    run makes progress on working providers first, and by the time the
-    deprioritized units are dispatched, the failing provider has had
-    its cooldown — the cheapest possible form of fault-aware
-    scheduling, with no effect on results (order never changes
-    content).  Probe-ready breakers (cooldown elapsed) do not
-    deprioritize: those units *are* the probes.
     """
 
-    def __init__(
-        self,
-        cost_model: ExpectedCostModel | None = None,
-        health=None,
-    ) -> None:
+    def __init__(self, cost_model: ExpectedCostModel | None = None) -> None:
         self.cost_model = (
             cost_model if cost_model is not None else ExpectedCostModel()
         )
-        self.health = health
-
-    def _deprioritized(self, unit: WorkUnit) -> bool:
-        if self.health is None:
-            return False
-        tracker = self.health.peek(unit.model)
-        return tracker is not None and tracker.is_open
 
     def order(self, units: Sequence[WorkUnit]) -> list[WorkUnit]:
-        return sorted(
-            units,
-            key=lambda unit: (
-                self._deprioritized(unit),
-                -self.cost_model.expected(unit),
-            ),
-        )
+        return sorted(units, key=lambda unit: -self.cost_model.expected(unit))
 
     def observe(self, unit: WorkUnit, elapsed_s: float) -> None:
         self.cost_model.observe(unit.model, elapsed_s)

@@ -27,18 +27,15 @@ Quickstart::
 
 Grids are bit-identical to the local-store path: the server stores the
 same checksummed records, keyed by the same content addresses.
+
+A reproduction talks to at most one server.  What keeps that one
+server dependable lives on the server and in :class:`StoreClient`:
+``--max-inflight`` admission control and the SIGTERM drain answer with
+a typed, retryable refusal that the client backs off on and replays,
+and a unix socket path is only ever replaced when it is a stale socket.
 """
 
-from repro.serve.client import (
-    RemoteResultCache,
-    RemoteRetryBudget,
-    RemoteRunStore,
-    StoreClient,
-)
-from repro.serve.replicated import (
-    ReplicatedRunStore,
-    ReplicatedStoreClient,
-)
+from repro.serve.client import RemoteResultCache, RemoteRunStore, StoreClient
 from repro.serve.protocol import (
     MAX_FRAME,
     TornFrameError,
@@ -56,9 +53,6 @@ __all__ = [
     "StoreClient",
     "RemoteRunStore",
     "RemoteResultCache",
-    "RemoteRetryBudget",
-    "ReplicatedRunStore",
-    "ReplicatedStoreClient",
     "open_store",
     "parse_store_url",
     "REMOTE_SCHEMES",

@@ -16,15 +16,15 @@ dumps the server's live metrics as Prometheus text every
 textfile collector can scrape it) and once more at shutdown.
 
 SIGINT/SIGTERM **drain**: the server immediately refuses new frames
-(typed, retryable ``ServerOverloadedError`` — clients fail over or
-back off), finishes what is in flight (bounded by ``--drain-grace``
+(typed, retryable ``ServerOverloadedError`` — clients back off and
+replay), finishes what is in flight (bounded by ``--drain-grace``
 seconds), then closes listeners and snapshots every shard index.  On
 the way out the unix socket path and the ready file are removed, so a
 restart on the same paths starts clean.  ``--max-inflight N`` arms the
 same admission gate against overload during normal operation.
 
-``python -m repro.serve sync …`` is replica reconciliation — see
-:mod:`repro.serve.sync`.
+An IPv6 ``--tcp`` host is bracketed, ``--tcp [::1]:9045``; the
+``listening on`` line and the ready file print it bracketed too.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.errors import ReproError
 from repro.obs import render_prometheus
 
 from repro.serve.server import StoreServer
+from repro.serve.url import split_host_port, url_host
 
 
 def _dump_metrics(server: StoreServer, path: pathlib.Path) -> None:
@@ -122,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_tcp(value: str) -> tuple[str, int]:
-    host, colon, port = value.rpartition(":")
-    if not colon or not port.isdigit():
+    host_port = split_host_port(value)
+    if host_port is None:
         raise SystemExit(f"--tcp expects HOST:PORT, got {value!r}")
-    return host or "127.0.0.1", int(port)
+    host, port = host_port
+    return host or "127.0.0.1", port
 
 
 async def _serve(args: argparse.Namespace) -> int:
@@ -135,23 +137,24 @@ async def _serve(args: argparse.Namespace) -> int:
         fsync=args.fsync,
         max_inflight=args.max_inflight,
     )
+    # drain handlers go in before anything listens: a SIGTERM sent as
+    # soon as the ready file appears must drain, not kill the process
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        with contextlib.suppress(NotImplementedError):
+            loop.add_signal_handler(sig, stop.set)
     endpoints: dict[str, Any] = {"shards": server.n_shards}
     if args.tcp:
         host, port = await server.start_tcp(*_parse_tcp(args.tcp))
-        endpoints["tcp"] = [host, port]
-        print(f"listening on tcp://{host}:{port}", flush=True)
+        endpoints["tcp"] = [url_host(host), port]
+        print(f"listening on tcp://{url_host(host)}:{port}", flush=True)
     if args.unix:
         path = await server.start_unix(args.unix)
         endpoints["unix"] = path
         print(f"listening on unix://{path}", flush=True)
     if args.ready_file:
         pathlib.Path(args.ready_file).write_text(json.dumps(endpoints))
-
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(sig, stop.set)
     metrics_path = (
         pathlib.Path(args.metrics_file) if args.metrics_file else None
     )
@@ -198,12 +201,6 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "sync":
-        from repro.serve.sync import main as sync_main
-
-        return sync_main(argv[1:])
     args = build_parser().parse_args(argv)
     if not args.tcp and not args.unix:
         build_parser().error("give at least one of --tcp / --unix")

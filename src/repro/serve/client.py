@@ -42,7 +42,6 @@ from typing import Any, Iterable, Sequence
 
 from repro.core.scorers import Score
 from repro.errors import (
-    BreakerOpenError,
     PersistError,
     RemoteStoreError,
     ServerOverloadedError,
@@ -68,6 +67,7 @@ from repro.runtime.units import Generation
 from repro.stats import stats_dict
 
 from repro.serve.protocol import encode_frame, read_frame
+from repro.serve.url import url_host
 
 #: keys / records per pipelined frame — bounds frame size, not batch size
 CHUNK = 512
@@ -96,7 +96,6 @@ class StoreClient:
         retry: "RetryPolicy | FaultPolicy | None" = None,
         pool_size: int = 4,
         connect_timeout: float = 10.0,
-        health: Any = None,
     ) -> None:
         family, target = address
         if family not in ("tcp", "unix"):
@@ -105,10 +104,6 @@ class StoreClient:
         self.retry = _as_retry(retry)
         self.pool_size = pool_size
         self.connect_timeout = connect_timeout
-        # optional HealthTracker: while its breaker is open, requests
-        # fail fast with BreakerOpenError instead of burning connect
-        # timeouts; every transport outcome feeds its rolling window
-        self.health = health
         self._mu = threading.Lock()
         self._pool: list[socket.socket] = []
         self._closed = False
@@ -155,7 +150,7 @@ class StoreClient:
         if family == "unix":
             return f"unix://{target}"
         host, port = target
-        return f"tcp://{host}:{port}"
+        return f"tcp://{url_host(host)}:{port}"
 
     def close(self) -> None:
         with self._mu:
@@ -217,16 +212,9 @@ class StoreClient:
         for attempt in range(self.retry.max_attempts):
             if attempt:
                 time.sleep(self.retry.delay(attempt - 1))
-            if self.health is not None and not self.health.allow():
-                raise BreakerOpenError(
-                    f"store at {self.describe_address()} breaker is "
-                    f"{self.health.state}; request refused"
-                )
             try:
                 sock = self._checkout()
             except RemoteStoreError as exc:
-                if self.health is not None:
-                    self.health.record_failure()
                 last = exc
                 continue
             try:
@@ -241,16 +229,11 @@ class StoreClient:
                     responses.append(response)
             except (OSError, RemoteStoreError) as exc:
                 sock.close()  # poisoned: never back into the pool
-                if self.health is not None:
-                    self.health.record_failure()
                 last = exc
                 continue
             self._checkin(sock)
             # transport worked; an admission-control refusal is a healthy
-            # server saying "not now" — retryable, but never a breaker
-            # failure (the breaker guards reachability, not load)
-            if self.health is not None:
-                self.health.record_success()
+            # server saying "not now" — back off and replay
             overload = next(
                 (
                     response
@@ -305,24 +288,13 @@ class RemoteRunStore:
     def __init__(
         self,
         url: str,
-        address: tuple[str, Any] | None = None,
+        address: tuple[str, Any],
         *,
         retry: "RetryPolicy | FaultPolicy | None" = None,
         pool_size: int = 4,
-        health: Any = None,
-        client: Any = None,
     ) -> None:
         self.url = url
-        if client is not None:
-            # an injected transport (e.g. a ReplicatedStoreClient) —
-            # anything with request / request_many / close
-            self.client = client
-        elif address is not None:
-            self.client = StoreClient(
-                address, retry=retry, pool_size=pool_size, health=health
-            )
-        else:
-            raise StoreError("RemoteRunStore needs an address or a client")
+        self.client = StoreClient(address, retry=retry, pool_size=pool_size)
         self._result_cache: RemoteResultCache | None = None
 
     @property
@@ -447,11 +419,7 @@ class RemoteRunStore:
         payload = response["manifest"]
         return RunManifest.from_payload(payload) if payload is not None else None
 
-    # -- maintenance (remote gc / verify / key inventory) --------------------
-
-    def keys(self, kind: str) -> list[str]:
-        """Every live record key of one kind, across all server shards."""
-        return self.client.request({"op": "list_keys", "kind": kind})["keys"]
+    # -- maintenance (remote gc / verify) ------------------------------------
 
     def gc(self) -> GCStats:
         """Compact every server shard; one aggregated :class:`GCStats`."""
@@ -470,18 +438,6 @@ class RemoteRunStore:
         for report in reports[1:]:
             merged = merged.merged_with(report)
         return merged
-
-    def counter_add(self, name: str, delta: float = 1) -> float:
-        """Bump a server-held named counter; returns the new value.
-
-        The primitive behind cross-process retry budgets: every worker
-        process bumps the same counter on the same server, so the
-        budget is spent campaign-wide, not per-process.
-        """
-        response = self.client.request(
-            {"op": "counter_add", "name": name, "delta": delta}
-        )
-        return response["value"]
 
     # -- introspection -------------------------------------------------------
 
@@ -535,37 +491,6 @@ class RemoteRunStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteRunStore({self.url!r})"
-
-
-class RemoteRetryBudget:
-    """A cross-process retry budget backed by a server-held counter.
-
-    Plug into :class:`~repro.runtime.faults.FaultPolicy` as
-    ``shared_budget``: every worker process pointed at the same server
-    and ``name`` draws from one campaign-wide pool of retries, so a
-    provider melt-down degrades into isolation fleet-wide instead of
-    each process burning its own full budget.  ``try_acquire`` raising
-    (server unreachable) makes the policy fall back to its local
-    budget — fail open, never wedge a run on budget accounting.
-    """
-
-    def __init__(self, store: RemoteRunStore, name: str, limit: int) -> None:
-        if limit < 0:
-            raise StoreError(f"budget limit must be >= 0, got {limit}")
-        self._store = store
-        self.name = name
-        self.limit = limit
-
-    def try_acquire(self) -> bool:
-        spent = self._store.counter_add(f"retry-budget:{self.name}", 1)
-        return spent <= self.limit
-
-    def spent(self) -> float:
-        """How many retries the fleet has drawn so far (read-only probe)."""
-        return self._store.counter_add(f"retry-budget:{self.name}", 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RemoteRetryBudget({self.name!r}, limit={self.limit})"
 
 
 class RemoteResultCache:

@@ -101,9 +101,6 @@ class StoreServer:
         self._admit_mu = threading.Lock()
         self._inflight_n = 0
         self._draining = False
-        # server-held named counters (cross-process retry budgets):
-        # in-memory only — a budget is per-campaign state, not data
-        self._counters: dict[str, float] = {}
         # always-on server metrics: per-op latency/outcome, in-flight
         # gauge — exposed live via the `metrics` op and --metrics-file
         self.registry = MetricsRegistry()
@@ -207,17 +204,19 @@ class StoreServer:
                 totals[field] = totals.get(field, 0) + value
         return {"ok": True, "read_stats": totals}
 
-    def _op_list_keys(self, request: dict[str, Any]) -> dict[str, Any]:
-        kind = request["kind"]
-        if kind not in RECORD_KINDS:
-            raise PersistError(f"unknown record kind {kind!r}")
-        keys: list[str] = []
-        for store in self.stores:
-            keys.extend(store.keys(kind))
-        return {"ok": True, "keys": sorted(keys)}
-
     def _op_gc(self, request: dict[str, Any]) -> dict[str, Any]:
-        return {"ok": True, "gc": [store.gc().as_dict() for store in self.stores]}
+        # a score lives on its own key's shard, its generation on the
+        # generation key's shard: each shard judges only the scores whose
+        # generation it owns, so a cross-shard score is never an "orphan"
+        reports = []
+        for index, store in enumerate(self.stores):
+            stats = store.gc(
+                owns_generation=lambda key, index=index: (
+                    shard_for(key, self.n_shards) == index
+                )
+            )
+            reports.append(stats.as_dict())
+        return {"ok": True, "gc": reports}
 
     def _op_verify(self, request: dict[str, Any]) -> dict[str, Any]:
         reports = []
@@ -230,18 +229,6 @@ class StoreServer:
             ]
             reports.append(report)
         return {"ok": True, "verify": reports}
-
-    def _op_counter_add(self, request: dict[str, Any]) -> dict[str, Any]:
-        name = request["name"]
-        delta = request.get("delta", 1)
-        if not isinstance(name, str) or not name:
-            raise PersistError(f"counter name must be a string, got {name!r}")
-        if not isinstance(delta, (int, float)):
-            raise PersistError(f"counter delta must be a number, got {delta!r}")
-        with self._admit_mu:
-            value = self._counters.get(name, 0) + delta
-            self._counters[name] = value
-        return {"ok": True, "name": name, "value": value}
 
     def _op_metrics(self, request: dict[str, Any]) -> dict[str, Any]:
         """Live server telemetry: the registry snapshot plus a summary.
@@ -299,17 +286,15 @@ class StoreServer:
         "stats": _op_stats,
         "read_stats": _op_read_stats,
         "metrics": _op_metrics,
-        "list_keys": _op_list_keys,
         "gc": _op_gc,
         "verify": _op_verify,
-        "counter_add": _op_counter_add,
     }
 
     def _admit(self) -> str | None:
         """Admission control: None to admit, else the refusal message."""
         with self._admit_mu:
             if self._draining:
-                return "server is draining; retry against another replica"
+                return "server is draining; retry after it restarts"
             if (
                 self.max_inflight is not None
                 and self._inflight_n >= self.max_inflight

@@ -7,14 +7,12 @@ Everywhere the harness accepts a store — ``RunConfig.from_url``, the
 * a plain path (``runs/store``, ``/var/repro/store``) opens a local
   :class:`~repro.persist.RunStore` on that directory, exactly as before;
 * ``tcp://host:port`` (or ``repro+tcp://``) connects a
-  :class:`~repro.serve.client.RemoteRunStore` to a TCP server;
+  :class:`~repro.serve.client.RemoteRunStore` to a TCP server; an IPv6
+  host is written in brackets, ``tcp://[::1]:9045``;
 * ``unix:///path/to.sock`` (or ``repro+unix://``) connects over a unix
-  socket on the same machine — same protocol, no TCP stack;
-* a comma-separated list of remote URLs
-  (``tcp://a:9000,tcp://b:9000``) opens a
-  :class:`~repro.serve.replicated.ReplicatedRunStore` that replicates
-  writes across every server and fails reads over between them — one
-  replica dying mid-sweep costs a breaker trip, not the run.
+  socket on the same machine — same protocol, no TCP stack.
+
+A URL names exactly one store: a comma-separated list is refused.
 
 The ``repro+`` prefix exists for contexts that key behaviour off the
 scheme and want it unambiguous; the short forms are canonical.
@@ -26,44 +24,57 @@ from typing import Any
 
 from repro.errors import StoreError
 
-from repro.serve.client import RemoteRunStore
-
 #: schemes that open a RemoteRunStore; anything else is a local path
 REMOTE_SCHEMES = ("tcp", "repro+tcp", "unix", "repro+unix")
 
 
+def split_host_port(value: str) -> tuple[str, int] | None:
+    """``(host, port)`` of ``host:port`` or ``[ipv6]:port``; None if malformed.
+
+    Brackets around an IPv6 host are stripped, so the host goes to
+    ``getaddrinfo`` as-is; :func:`url_host` puts them back.  The port is
+    ASCII digits in 0..65535; an IPv6 host without brackets, stray or
+    empty brackets are malformed (each would fail later, at connect).
+    """
+    host, colon, port = value.rpartition(":")
+    if not colon or not (port.isascii() and port.isdigit()):
+        return None
+    if int(port) > 65535:
+        return None
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+        if not host:
+            return None
+    elif ":" in host:
+        return None
+    if "[" in host or "]" in host:
+        return None
+    return host, int(port)
+
+
+def url_host(host: str) -> str:
+    """``host`` as written in a URL: an IPv6 address gets its brackets."""
+    return f"[{host}]" if ":" in host else host
+
+
 def parse_store_url(url: str) -> tuple[str, Any]:
-    """``("local", path)``, ``("tcp", (host, port))``, ``("unix", path)``
-    or — for a comma-separated list of remote URLs —
-    ``("multi", [(family, target), ...])``."""
-    if "," in url and "://" in url:
-        parts = [part.strip() for part in url.split(",") if part.strip()]
-        addresses = []
-        for part in parts:
-            family, target = parse_store_url(part)
-            if family in ("local", "multi"):
-                raise StoreError(
-                    f"malformed store URL {url!r}: every replica in a "
-                    f"comma-separated list must be a remote URL"
-                )
-            addresses.append((family, target))
-        if len(addresses) < 2:
-            raise StoreError(
-                f"malformed store URL {url!r}: a replica list needs at "
-                f"least two remote URLs"
-            )
-        return ("multi", addresses)
+    """``("local", path)``, ``("tcp", (host, port))`` or ``("unix", path)``."""
     scheme, sep, rest = url.partition("://")
     if not sep:
         return ("local", url)
+    if "," in url:
+        raise StoreError(
+            f"malformed store URL {url!r}: name one store, not a "
+            f"comma-separated list"
+        )
     scheme = scheme.lower()
     if scheme in ("tcp", "repro+tcp"):
-        host, colon, port = rest.rstrip("/").rpartition(":")
-        if not colon or not port.isdigit():
+        host_port = split_host_port(rest.rstrip("/"))
+        if host_port is None:
             raise StoreError(
                 f"malformed store URL {url!r}: expected tcp://host:port"
             )
-        return ("tcp", (host, int(port)))
+        return ("tcp", host_port)
     if scheme in ("unix", "repro+unix"):
         if not rest:
             raise StoreError(
@@ -93,8 +104,6 @@ def open_store(url: str, **client_options: Any):
         from repro.persist import RunStore
 
         return RunStore(target)
-    if family == "multi":
-        from repro.serve.replicated import ReplicatedRunStore
+    from repro.serve.client import RemoteRunStore
 
-        return ReplicatedRunStore(url, target, **client_options)
     return RemoteRunStore(url, (family, target), **client_options)

@@ -1,11 +1,11 @@
 """Chaos-engineering harness: deterministic fault injection for tests.
 
 Everything here exists to *prove* the fault-tolerance layer
-(:mod:`repro.runtime.faults`) and the resilience layer
-(:mod:`repro.serve.replicated`) — inject provider faults, store I/O
-faults, scoring-worker deaths and *server-side* faults (kill/restart,
-slow replicas, overload refusals) on a fixed seed, then assert the
-harness heals around them with bit-identical results.
+(:mod:`repro.runtime.faults`) and the store server
+(:mod:`repro.serve`) — inject provider faults, store I/O faults,
+scoring-worker deaths and *server-side* faults (overload refusals,
+SIGTERM drain, ``kill -9``) on a fixed seed, then assert the harness
+heals around them with bit-identical results.
 """
 
 from repro.testing.faults import (

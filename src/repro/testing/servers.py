@@ -1,25 +1,20 @@
-"""Server-side chaos: kill/restart, slow-replica and overload harnesses.
+"""Server-side harnesses: a loopback server, overload chaos, a real process.
 
-PR 7's harness injects faults *inside* one process (providers, store
-I/O, scoring workers).  The resilience layer needs faults on the other
-side of the wire, so this module adds three deterministic server
-harnesses:
+The in-process harness (:mod:`repro.testing.faults`) injects faults
+inside one process (providers, store I/O, scoring workers).  The store
+server needs faults and lifecycles on the other side of the wire, so
+this module adds three deterministic server harnesses:
 
 * :class:`InProcessServer` — a real :class:`~repro.serve.server.StoreServer`
   listening on a loopback TCP port from a background event-loop thread.
-  ``stop()``/``restart()`` model a server crash and recovery with *the
-  same root directory*, exactly like a supervisor restarting a dead
-  process.  (This is the threaded-server idiom the serve tests grew;
-  promoted here so every suite and bench can boot replicas in one
-  line.)
-* :class:`ChaosStoreServer` — a ``StoreServer`` whose ``handle`` adds a
-  fixed per-op delay (the *slow replica* of hedged-read tests) and can
-  be armed with a :class:`~repro.testing.faults.FaultPlan` to refuse a
-  deterministic subset of requests as overload.
-* :class:`ServerProcess` — a genuinely separate
-  ``python -m repro.serve`` OS process (booted via ``--ready-file``
-  polling), for tests that must SIGKILL a replica mid-sweep: no amount
-  of in-process mocking proves what ``kill -9`` proves.
+  ``stop()`` tears it down the way a crash looks to a client.
+* :class:`ChaosStoreServer` — a ``StoreServer`` that can be armed with a
+  :class:`~repro.testing.faults.FaultPlan` to refuse a deterministic
+  subset of requests as overload.
+* :class:`ServerProcess` — a genuinely separate ``python -m repro.serve``
+  OS process (booted via ``--ready-file`` polling), for tests of what
+  only a real process shows: the SIGTERM drain and its cleanup, and
+  ``kill -9``.
 """
 
 from __future__ import annotations
@@ -46,8 +41,7 @@ class InProcessServer:
 
     The event loop lives on a daemon thread; ``stop()`` tears down the
     listener and closes the shard stores (a crash, as a client sees
-    it), and ``restart()`` boots a fresh server over the same root on a
-    new port unless ``port`` pins one.
+    it).
     """
 
     def __init__(
@@ -60,8 +54,6 @@ class InProcessServer:
         **server_options: Any,
     ) -> None:
         self.root = pathlib.Path(root)
-        self.shards = shards
-        self._options = server_options
         self.server = (
             server
             if server is not None
@@ -124,16 +116,6 @@ class InProcessServer:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=10)
 
-    def restart(self) -> "InProcessServer":
-        """A fresh server over the same root (same port by default)."""
-        self.stop()
-        return InProcessServer(
-            self.root,
-            shards=self.shards,
-            port=self.port,
-            **self._options,
-        )
-
     def __enter__(self) -> "InProcessServer":
         return self
 
@@ -142,10 +124,9 @@ class InProcessServer:
 
 
 class ChaosStoreServer(StoreServer):
-    """A ``StoreServer`` with deterministic latency and overload faults.
+    """A ``StoreServer`` with deterministic overload faults.
 
-    ``op_delay_s`` stalls every handled request by a fixed delay — the
-    slow replica hedged reads route around.  ``overload_plan`` (a
+    ``overload_plan`` (a
     :class:`~repro.testing.faults.FaultPlan`; its ``transient`` strikes
     on key ``op:<n>`` decide refusals) answers the deterministic subset
     of requests with a typed retryable refusal, exactly like the real
@@ -156,18 +137,13 @@ class ChaosStoreServer(StoreServer):
         self,
         root: "str | pathlib.Path",
         *,
-        op_delay_s: float = 0.0,
         overload_plan: FaultPlan | None = None,
         **kwargs: Any,
     ) -> None:
         super().__init__(root, **kwargs)
-        if op_delay_s < 0:
-            raise HarnessError(f"op_delay_s must be >= 0, got {op_delay_s}")
-        self.op_delay_s = op_delay_s
         self.overload_plan = overload_plan
         self._chaos_mu = threading.Lock()
         self._chaos_seq = 0
-        self.delayed_requests = 0
         self.refused_requests = 0
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -185,10 +161,6 @@ class ChaosStoreServer(StoreServer):
                 "error": f"chaos overload refused {op} #{seq}",
                 "error_type": ServerOverloadedError.__name__,
             }
-        if self.op_delay_s:
-            with self._chaos_mu:
-                self.delayed_requests += 1
-            time.sleep(self.op_delay_s)
         return super().handle(request)
 
 
@@ -197,9 +169,8 @@ class ServerProcess:
 
     Boots with ``--ready-file`` and polls it, so the constructor
     returns only once the server is listening.  ``kill()`` is
-    ``SIGKILL`` — no drain, no goodbye, the genuine article —
-    ``terminate()`` is the graceful ``SIGTERM`` drain, and
-    ``restart()`` reboots over the same root.
+    ``SIGKILL`` — no drain, no goodbye, the genuine article — and
+    ``terminate()`` is the graceful ``SIGTERM`` drain.
     """
 
     def __init__(
@@ -293,11 +264,6 @@ class ServerProcess:
             self.proc.send_signal(signal.SIGTERM)
             self.proc.wait(timeout=timeout_s)
         return self.proc.returncode
-
-    def restart(self) -> None:
-        """Boot again over the same root, reusing the bound port."""
-        self.kill()
-        self._boot(self.port)
 
     def __enter__(self) -> "ServerProcess":
         return self

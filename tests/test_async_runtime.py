@@ -10,6 +10,8 @@ pure latency knob, never a results knob.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.experiments import run_configuration
 from repro.core.experiments.configuration import configuration_task
@@ -424,6 +426,41 @@ class TestScheduling:
         assert scheduler.cost_model.observations == 0
         assert warm.stats.generation_seconds == 0.0
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        costs=st.lists(
+            st.sampled_from([0.0, 0.05, 0.1, 0.4]), min_size=4, max_size=4
+        )
+    )
+    def test_adaptive_order_is_a_stable_sort_on_expected_cost(self, costs):
+        models = ["sim/o3", "sim/llama-3.3-70b", "sim/claude-sonnet-4",
+                  "sim/gemini-2.5-pro"]
+        plan = Plan("p")
+        for system in ("wilkins", "adios2"):
+            for model in models:
+                plan.add_eval(configuration_task(system), model, epochs=1)
+        cost = ExpectedCostModel()
+        for model, seconds in zip(models, costs):
+            cost.observe(model, seconds)  # 0.0 leaves a model unobserved
+        units = plan.units
+        ordered = AdaptiveScheduler(cost).order(units)
+        assert sorted(u.uid for u in ordered) == sorted(u.uid for u in units)
+        expected = [cost.expected(u) for u in ordered]
+        assert expected == sorted(expected, reverse=True)
+        position = {u.uid: i for i, u in enumerate(units)}
+        for a, b in zip(ordered, ordered[1:]):
+            if cost.expected(a) == cost.expected(b):
+                assert position[a.uid] < position[b.uid]
+
+    def test_alpha_one_tracks_the_latest_sample(self):
+        cost = ExpectedCostModel(alpha=1.0)
+        cost.observe("m", 1.0)
+        cost.observe("m", 0.25)
+        assert cost.snapshot()["m"] == 0.25
+        for bad in (-0.5, 1.5, float("nan")):
+            with pytest.raises(HarnessError, match="alpha"):
+                ExpectedCostModel(alpha=bad)
 
 class TestThreadedExecutorCloseRegression:
     @pytest.mark.parametrize("make", [

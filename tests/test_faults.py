@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 import time
 
 import pytest
@@ -207,6 +209,116 @@ class TestRetryBudget:
         assert out.attempts == 1
         assert state.retries == 0
 
+
+    def test_budget_is_shared_by_the_sync_and_async_paths(self):
+        state = FaultState(
+            FaultPolicy(
+                retry=RetryPolicy(max_attempts=5, base_delay=0.0),
+                retry_budget=3,
+                on_failure="isolate",
+            )
+        )
+        calls = {"sync": 0, "async": 0}
+
+        def sync_down(u):
+            calls["sync"] += 1
+            raise ModelError("down")
+
+        async def async_down(u):
+            calls["async"] += 1
+            raise ModelError("down")
+
+        first = state.run_unit(one_unit(), sync_down)
+        assert isinstance(first, FailedGeneration)
+        assert calls["sync"] == 4  # 1 attempt + 3 budgeted retries
+        second = asyncio.run(state.run_unit_async(one_unit(), async_down))
+        assert isinstance(second, FailedGeneration)
+        assert calls["async"] == 1  # the sync unit spent the whole budget
+        assert state.retries == 3 and state.budget_exhausted
+
+    def test_concurrent_units_never_overdraw_the_budget(self):
+        state = FaultState(
+            FaultPolicy(
+                retry=RetryPolicy(max_attempts=4, base_delay=0.0),
+                retry_budget=5,
+                on_failure="isolate",
+            )
+        )
+        attempts = []
+        lock = threading.Lock()
+
+        def down(u):
+            with lock:
+                attempts.append(1)
+            raise ModelError("down")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=state.run_unit, args=(one_unit(), down))
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert state.retries == 5
+        assert len(attempts) == 8 + 5  # one attempt each + the budget
+        assert state.budget_exhausted
+
+    def test_spent_budget_raises_in_raise_mode(self):
+        state = FaultState(
+            FaultPolicy(
+                retry=RetryPolicy(max_attempts=4, base_delay=0.0),
+                retry_budget=0,
+            )
+        )
+        calls = {"n": 0}
+
+        def down(u):
+            calls["n"] += 1
+            raise ModelError("down")
+
+        with pytest.raises(ModelError, match="down"):
+            state.run_unit(one_unit(), down)
+        assert calls["n"] == 1
+        assert state.budget_exhausted
+
+    def test_unbounded_budget_grants_every_policy_retry(self):
+        state = FaultState(
+            FaultPolicy(
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+                on_failure="isolate",
+            )
+        )
+        for _ in range(4):
+            out = state.run_unit(
+                one_unit(),
+                lambda u: (_ for _ in ()).throw(ModelError("down")),
+            )
+            assert isinstance(out, FailedGeneration)
+            assert out.attempts == 3
+        assert state.retries == 4 * 2
+        assert not state.budget_exhausted
+
+    def test_non_retryable_failures_spend_no_budget(self):
+        state = FaultState(
+            FaultPolicy(
+                retry=RetryPolicy(max_attempts=4, base_delay=0.0),
+                retry_budget=1,
+                on_failure="isolate",
+            )
+        )
+        out = state.run_unit(
+            one_unit(),
+            lambda u: (_ for _ in ()).throw(GenerationError("empty prompt")),
+        )
+        assert isinstance(out, FailedGeneration)
+        assert out.attempts == 1
+        assert state.retries == 0 and not state.budget_exhausted
 
 class TestDeadlines:
     def test_sync_deadline_becomes_deadline_error(self):

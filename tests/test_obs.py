@@ -1,8 +1,7 @@
 """Observability layer: tracing, metrics, schema migration, trends, CLIs.
 
-The :mod:`repro.perf` compatibility shim and the phase-profiler
-behaviour it re-exports keep their own suite in ``test_perf.py``; this
-file covers what PR 9 added on top — identified spans that cross
+The phase-profiler behaviour keeps its own suite in ``test_perf.py``;
+this file covers what PR 9 added on top — identified spans that cross
 process boundaries, the metrics registry, the ``repro.stats/2`` schema
 bump, and the ``python -m repro.obs`` CLI.
 """
@@ -245,26 +244,6 @@ class TestSpanDispatch:
             trace = tracer.end_trace(handle)
         assert prof.snapshot().calls("both") == 1
         assert "both" in {s.name for s in trace.spans}
-
-    def test_perf_shim_is_the_same_object(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro import perf
-
-        assert perf.span is obs.span
-        assert perf.profiling is obs.profiling
-        assert perf.render_profile is obs.render_profile
-
-    def test_perf_shim_warns_deprecation_on_import(self):
-        import importlib
-        import sys
-
-        # a fresh import, so the module-level warning actually fires
-        sys.modules.pop("repro.perf", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs instead"):
-            importlib.import_module("repro.perf")
 
 
 class TestRunnerIntegration:

@@ -241,6 +241,20 @@ class TestRunStore:
         report = store.verify()
         assert report.clean and report.stale == 0
 
+    def test_gc_leaves_scores_it_cannot_judge(self, tmp_path):
+        # one shard of a keyspace: generations keyed "a…" live elsewhere
+        store = RunStore(tmp_path / "store")
+        score = Score(values={"bleu": 50.0}, answer="x")
+        store.put_score("c" * 64, "a" * 64, score)  # generation elsewhere
+        store.put_score("d" * 64, "9" * 64, score)  # ours, and absent
+        stats = store.gc(owns_generation=lambda key: not key.startswith("a"))
+        assert stats.orphan_scores_dropped == 1
+        assert store.get_score("c" * 64) == score
+        assert store.get_score("d" * 64) is None
+        # without the predicate the store judges every score itself
+        assert store.gc().orphan_scores_dropped == 1
+        assert store.get_score("c" * 64) is None
+
     def test_gc_heals_corruption(self, tmp_path):
         store = RunStore(tmp_path / "store")
         store.put_generations([make_generation(i) for i in range(3)])

@@ -11,8 +11,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.experiments import run_configuration
+from repro.core.scorers import Score
 from repro.errors import (
     HarnessError,
     PersistError,
@@ -21,7 +24,9 @@ from repro.errors import (
 )
 from repro.llm.types import ModelUsage
 from repro.persist import RunStore
+from repro.persist.records import SCORE_KIND, generation_payload
 from repro.runtime import (
+    FaultPolicy,
     InMemoryResultCache,
     Plan,
     RetryPolicy,
@@ -33,6 +38,7 @@ from repro.runtime import (
 from repro.runtime.units import Generation
 from repro.serve import (
     RemoteRunStore,
+    StoreClient,
     StoreServer,
     TornFrameError,
     encode_frame,
@@ -42,6 +48,10 @@ from repro.serve import (
     shard_for,
     write_frame,
 )
+from repro.serve.client import CHUNK
+from repro.serve.cli import _parse_tcp
+from repro.serve.url import split_host_port, url_host
+from repro.testing import InProcessServer
 
 SMALL = dict(models=["o3", "llama-3.3-70b"], systems=["adios2", "wilkins"], epochs=2)
 
@@ -177,12 +187,114 @@ class TestUrls:
             "unix",
             "/tmp/s.sock",
         )
+        assert parse_store_url("tcp://127.0.0.1:9045") == (
+            "tcp",
+            ("127.0.0.1", 9045),
+        )
+        # IPv6 hosts are bracketed in the URL, bare for getaddrinfo
+        assert parse_store_url("tcp://[::1]:9045") == ("tcp", ("::1", 9045))
+        assert parse_store_url("tcp://[::1]:0") == ("tcp", ("::1", 0))
 
     def test_malformed_urls_refused(self):
         with pytest.raises(StoreError, match="tcp://host:port"):
             parse_store_url("tcp://nohost")
         with pytest.raises(StoreError, match="unknown store URL scheme"):
             parse_store_url("ftp://h:1")
+        with pytest.raises(StoreError, match="name one store"):
+            parse_store_url("tcp://a:1,tcp://b:2")
+        with pytest.raises(StoreError, match="name one store"):
+            open_store("unix:///tmp/a.sock,unix:///tmp/b.sock")
+
+    def test_cli_tcp_flag_shares_the_url_parser(self):
+        assert _parse_tcp("[::1]:9045") == ("::1", 9045)
+        assert _parse_tcp("0.0.0.0:0") == ("0.0.0.0", 0)
+        assert _parse_tcp(":9045") == ("127.0.0.1", 9045)
+        with pytest.raises(SystemExit, match="HOST:PORT"):
+            _parse_tcp("nohost")
+
+    def test_described_address_round_trips(self):
+        for host in ("127.0.0.1", "cache-host", "::1"):
+            client = StoreClient(("tcp", (host, 9045)))
+            url = client.describe_address()
+            assert parse_store_url(url) == ("tcp", (host, 9045))
+        assert client.describe_address() == "tcp://[::1]:9045"
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("127.0.0.1:9045", ("127.0.0.1", 9045)),
+            ("cache-host:1", ("cache-host", 1)),
+            ("h:0", ("h", 0)),
+            ("h:65535", ("h", 65535)),
+            ("[::1]:9045", ("::1", 9045)),
+            ("[2001:db8::7]:443", ("2001:db8::7", 443)),
+            ("[fe80::1%eth0]:80", ("fe80::1%eth0", 80)),
+            (":9045", ("", 9045)),  # the CLI's "default host" form
+        ],
+    )
+    def test_split_host_port_accepts(self, value, expected):
+        assert split_host_port(value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "nohost",
+            "h:",
+            "h:port",
+            "h:-1",
+            "h:65536",
+            "h: 1",
+            "h:\u00b2",  # superscript two: isdigit() but not int()-able
+            "h:\u0663",  # Arabic-Indic three: a digit, but not ASCII
+            "::1:9045",  # IPv6 without brackets: where does the host end?
+            "[::1:9045",
+            "::1]:9045",
+            "[::1]",
+            "[]:9045",
+            "[h]x:1",
+        ],
+    )
+    def test_split_host_port_refuses(self, value):
+        assert split_host_port(value) is None
+        # one parser: the store URL and the --tcp flag refuse alike
+        with pytest.raises(StoreError, match="tcp://host:port"):
+            parse_store_url(f"tcp://{value}")
+        with pytest.raises(SystemExit, match="HOST:PORT"):
+            _parse_tcp(value)
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "tcp://a:1,tcp://b:2",
+            "repro+tcp://a:1,repro+tcp://b:2",
+            "tcp://a:1,b:2",
+            "unix:///tmp/a.sock,unix:///tmp/b.sock",
+            "tcp://a:1,unix:///tmp/b.sock",
+            "tcp://a:1,",
+        ],
+    )
+    def test_comma_separated_urls_name_one_store(self, url):
+        with pytest.raises(StoreError, match="name one store"):
+            parse_store_url(url)
+
+    def test_comma_in_a_local_path_is_just_a_path(self, tmp_path):
+        path = str(tmp_path / "runs,v2")
+        assert parse_store_url(path) == ("local", path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        host=st.one_of(
+            st.ip_addresses(v=4).map(str),
+            st.ip_addresses(v=6).map(str),
+            st.from_regex(r"[a-z][a-z0-9-]{0,20}(\.[a-z][a-z0-9-]{0,10}){0,2}",
+                          fullmatch=True),
+        ),
+        port=st.integers(0, 65535),
+    )
+    def test_url_host_round_trips_through_the_parser(self, host, port):
+        url = f"tcp://{url_host(host)}:{port}"
+        assert parse_store_url(url) == ("tcp", (host, port))
+        assert _parse_tcp(f"{url_host(host)}:{port}") == (host, port)
 
     def test_open_store_local_path(self, tmp_path):
         store = open_store(str(tmp_path / "local"))
@@ -514,3 +626,304 @@ def small_plan_for(tmp_path) -> Plan:
     plan = Plan("serve-schema-test")
     plan.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
     return plan
+
+
+def keys_routed(n: int, shard: int, *, n_shards: int = 2, start: int = 0):
+    """The first ``n`` hex keys at or after ``start`` that route to ``shard``."""
+    keys, i = [], start
+    while len(keys) < n:
+        key = f"{i:064x}"
+        if shard_for(key, n_shards) == shard:
+            keys.append(key)
+        i += 1
+    return keys
+
+
+def make_score(value: float = 50.0) -> Score:
+    return Score(values={"bleu": value}, answer="served answer")
+
+
+def op_count(remote: RemoteRunStore, op: str) -> int:
+    """Handled requests of one op, as the server's metrics report them."""
+    digest = remote.metrics()["summary"]["ops"].get(op)
+    return int(digest["count"]) if digest is not None else 0
+
+
+class TestRemoteMaintenance:
+    def test_remote_gc_keeps_scores_whose_generation_lives_on_another_shard(
+        self, server
+    ):
+        # each score routes by its own key, its generation by the
+        # generation key: pair them so every score sits on the other shard
+        gen_keys = keys_routed(4, 0)
+        score_keys = keys_routed(4, 1, start=10_000)
+        gens = [
+            Generation(
+                key=key,
+                model="sim/o3",
+                completion=f"completion {key[-4:]}",
+                usage=ModelUsage(input_tokens=1, output_tokens=1),
+                elapsed_s=0.0,
+            )
+            for key in gen_keys
+        ]
+        with server.client() as remote:
+            remote.put_generations(gens)
+            for score_key, gen in zip(score_keys, gens):
+                remote.put_score(score_key, gen.key, make_score())
+            stats = remote.gc()
+            assert stats.orphan_scores_dropped == 0
+            assert stats.records_after == 8
+            assert remote.stats().scores == 4
+            stored = remote.get_records(SCORE_KIND, score_keys)
+        assert set(stored) == set(score_keys)
+
+    def test_warm_sweep_after_remote_gc_scores_nothing(self, server):
+        with server.client() as remote:
+            cold = run_configuration(**SMALL, store=remote)
+            assert remote.gc().orphan_scores_dropped == 0
+        with server.client() as remote:
+            warm = run_configuration(**SMALL, store=remote)
+            manifest = remote.latest_manifest()
+        assert manifest.stats.generated == 0
+        assert manifest.stats.scores_computed == 0
+        for row in cold.row_keys:
+            for model in cold.models:
+                assert warm.cell(row, model) == cold.cell(row, model)
+
+    def test_remote_gc_drops_orphans_the_owning_shard_can_judge(self, server):
+        # a score whose (absent) generation routes to the score's own
+        # shard is a provable orphan; one routed elsewhere is kept
+        same_shard_score, other_shard_score = keys_routed(2, 0, start=20_000)
+        absent_local_gen = keys_routed(1, 0, start=30_000)[0]
+        absent_remote_gen = keys_routed(1, 1, start=30_000)[0]
+        with server.client() as remote:
+            remote.put_score(same_shard_score, absent_local_gen, make_score())
+            remote.put_score(other_shard_score, absent_remote_gen, make_score())
+            stats = remote.gc()
+            assert stats.orphan_scores_dropped == 1
+            stored = remote.get_records(
+                SCORE_KIND, [same_shard_score, other_shard_score]
+            )
+        assert set(stored) == {other_shard_score}
+
+    def test_remote_gc_compacts_stale_duplicates_on_every_shard(self, server):
+        gens = [make_generation(i) for i in range(16)]
+        with server.client() as remote:
+            remote.put_generations(gens)
+            remote.put_generations(gens)  # every record gains a stale twin
+            before = remote.verify()
+            assert before.clean and before.stale == 16
+            stats = remote.gc()
+            assert stats.stale_dropped == 16
+            assert (stats.records_before, stats.records_after) == (32, 16)
+            assert stats.bytes_after < stats.bytes_before
+            after = remote.verify()
+            assert after.clean and after.stale == 0
+            assert after.generations == 16
+            found = remote.get_generations([g.key for g in gens])
+        assert {k: g.completion for k, g in found.items()} == {
+            g.key: g.completion for g in gens
+        }
+
+    def test_remote_verify_names_the_corrupt_shard(self, tmp_path):
+        from repro.persist.segments import list_segments
+
+        root = tmp_path / "served"
+        gens = [
+            Generation(
+                key=key,
+                model="sim/o3",
+                completion="to be corrupted",
+                usage=ModelUsage(input_tokens=1, output_tokens=1),
+                elapsed_s=0.0,
+            )
+            for key in keys_routed(3, 1)
+        ]
+        with InProcessServer(root) as srv:
+            with open_store(srv.url(), retry=FAST_RETRY) as remote:
+                remote.put_generations(gens)
+                assert remote.verify().clean
+                seg = list_segments(root / "shard-01" / "segments")[0]
+                raw = seg.read_bytes().splitlines(keepends=True)
+                raw[1] = b"deadbeef " + raw[1].split(b" ", 1)[1]
+                seg.write_bytes(b"".join(raw))
+                report = remote.verify()
+        assert not report.clean
+        assert report.problems
+        assert all(p.startswith("shard-01: ") for p in report.problems)
+        assert any("checksum mismatch" in p for p in report.problems)
+
+
+class TestStoreClientTransport:
+    def test_large_batches_travel_as_pipelined_chunks(self, server):
+        gens = [make_generation(i) for i in range(2 * CHUNK + 5)]
+        with server.client() as remote:
+            remote.put_generations(gens)
+            found = remote.get_generations([g.key for g in gens])
+            # one request per CHUNK-sized slice, each way
+            assert op_count(remote, "put_records") == 3
+            assert op_count(remote, "get_records") == 3
+        assert len(found) == len(gens)
+        assert found[gens[-1].key].completion == gens[-1].completion
+
+    def test_empty_batches_send_nothing(self, server):
+        with server.client() as remote:
+            assert remote.get_generations([]) == {}
+            remote.put_generations([])
+            assert remote.client.request_many([]) == []
+            assert op_count(remote, "get_records") == 0
+            assert op_count(remote, "put_records") == 0
+
+    def test_deterministic_server_errors_are_not_replayed(self, server):
+        with server.client() as remote:
+            with pytest.raises(PersistError, match="unknown record kind"):
+                remote.get_records("nope", ["k"])
+            with pytest.raises(StoreError, match="unknown op"):
+                remote.client.request({"op": "frobnicate"})
+            ops = remote.metrics()["summary"]["ops"]
+        # four attempts allowed, one sent: the answer would not change
+        assert ops["get_records"]["count"] == 1
+        assert ops["unknown"]["count"] == 1
+
+    def test_malformed_payload_refuses_the_whole_batch(self, server):
+        good = generation_payload(make_generation(0))
+        with server.client() as remote:
+            with pytest.raises(PersistError, match="malformed record payload"):
+                remote.put_records([good, {"kind": "gen"}])
+            assert remote.stats().generations == 0
+
+    def test_a_batch_cut_mid_response_replays_whole_on_a_fresh_connection(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "flaky.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen()
+        received: list[list[str]] = []
+
+        def serve() -> None:
+            for connection in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    ops = [read_frame(conn)["op"] for _ in range(3)]
+                    received.append(ops)
+                    answered = ops[:1] if connection == 0 else ops
+                    for i, _op in enumerate(answered):
+                        write_frame(conn, {"ok": True, "i": i})
+                # the first connection hangs up after one answer
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = StoreClient(("unix", path), retry=FAST_RETRY)
+        try:
+            responses = client.request_many(
+                [{"op": "a"}, {"op": "b"}, {"op": "c"}]
+            )
+            assert [r["i"] for r in responses] == [0, 1, 2]
+            assert received == [["a", "b", "c"], ["a", "b", "c"]]
+            # the poisoned socket was dropped; only the healthy one pooled
+            assert len(client._pool) == 1
+        finally:
+            client.close()
+            thread.join(timeout=10)
+            listener.close()
+
+    def test_pool_keeps_at_most_pool_size_connections(self, server):
+        remote = server.client(pool_size=2)
+        barrier = threading.Barrier(6)
+        errors: list[BaseException] = []
+
+        def ping() -> None:
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(5):
+                    remote.ping()
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ping) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        try:
+            assert not errors
+            assert 1 <= len(remote.client._pool) <= 2
+        finally:
+            remote.close()
+
+    def test_closed_client_refuses_requests(self, server):
+        remote = server.client()
+        remote.ping()
+        remote.close()
+        assert remote.client._pool == []
+        with pytest.raises(StoreError, match="closed"):
+            remote.ping()
+
+    def test_unknown_address_family_refused(self):
+        with pytest.raises(StoreError, match="unknown address family"):
+            StoreClient(("udp", ("h", 1)))
+
+    def test_fault_policy_lends_its_retry_schedule(self):
+        policy = FaultPolicy(retry=RetryPolicy(max_attempts=2, base_delay=0.01))
+        remote = open_store("tcp://127.0.0.1:1", retry=policy)
+        try:
+            assert remote.client.retry is policy.retry
+            with pytest.raises(RemoteStoreError, match="after 2 attempts"):
+                remote.ping()
+        finally:
+            remote.close()
+
+
+class TestRemoteCaches:
+    def test_result_cache_counts_hits_misses_and_puts(self, server):
+        gens = [make_generation(i) for i in range(4)]
+        with server.client() as remote:
+            cache = remote.result_cache
+            assert cache.get(gens[0].key) is None
+            cache.put(gens[0])
+            cache.put_many(gens[1:3])
+            hit = cache.get(gens[0].key)
+            assert hit is not None and hit.cached
+            found = cache.get_many([g.key for g in gens])
+            assert set(found) == {g.key for g in gens[:3]}
+            assert all(g.cached for g in found.values())
+            assert gens[2].key in cache and gens[3].key not in cache
+            assert len(cache) == 3
+            stats = cache.stats()
+        assert stats["backend"] == "remote"
+        assert (stats["hits"], stats["misses"], stats["puts"]) == (4, 2, 3)
+        assert stats["entries"] == 3
+
+
+class TestRemoteManifests:
+    def test_unknown_run_and_empty_store_answer_none(self, server):
+        with server.client() as remote:
+            assert remote.manifest("run-does-not-exist") is None
+            assert remote.latest_manifest() is None
+            assert remote.latest_manifest("0" * 64) is None
+            assert remote.manifests() == []
+
+    def test_latest_manifest_filters_by_plan_fingerprint(self, server):
+        from repro.core.experiments.configuration import configuration_task
+
+        first, second = Plan("fingerprint-a"), Plan("fingerprint-b")
+        first.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
+        second.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
+        with server.client() as remote:
+            a = run(first, store=remote).manifest
+            b = run(second, store=remote).manifest
+            assert a.plan_fingerprint != b.plan_fingerprint
+            assert remote.latest_manifest().run_id == b.run_id
+            assert remote.latest_manifest(a.plan_fingerprint).run_id == a.run_id
+            assert remote.manifest(a.run_id) == a
+
+    def test_malformed_manifest_refused_at_the_wire(self, server):
+        with server.client() as remote:
+            with pytest.raises(StoreError):
+                remote.client.request(
+                    {"op": "put_manifest", "manifest": {"run_id": "x"}}
+                )
+            assert remote.manifests() == []
+            assert remote.stats().manifests == 0
