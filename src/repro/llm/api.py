@@ -22,7 +22,6 @@ into two richer call surfaces the runtime exploits:
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import threading
 from typing import Callable, Protocol, Sequence, runtime_checkable
@@ -85,6 +84,8 @@ class AsyncAdapter:
     async def agenerate(
         self, messages: Sequence[ChatMessage], config: GenerateConfig
     ) -> ModelOutput:
+        import asyncio  # only async callers load it
+
         if self._executor is None:
             return await asyncio.to_thread(
                 self._provider.generate, messages, config

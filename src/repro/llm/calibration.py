@@ -60,7 +60,6 @@ class CalibrationResult:
     k: int
     achieved_bleu: float
     target_bleu: float
-    curve: tuple[float, ...]
 
     @property
     def error(self) -> float:
@@ -178,15 +177,25 @@ class QualityCurve:
         A calibrated cell lives for the whole process but only ever
         re-reads the text at its calibrated depth; dropping the other
         prefix states and the cursor's per-line tokens and n-gram
-        counters frees them for every cell.  Memoized *scores* (a
-        handful of floats) are kept, and any depth's text or score can
-        still be rebuilt on demand.
+        counters frees them for every cell.  Memoized *scores* are kept
+        (one float per depth scored, up to ``len(ops) + 1``), and any
+        depth's text or score can still be rebuilt on demand.
         """
         kept = {k: self.text(k) for k in keep}
         with self._lock:
             self._states = [self.reference.split("\n")]
             self._texts = {0: self.reference, **kept}
             self._cursor = None
+
+    def hold(self, k: int, text: str) -> None:
+        """Take ``text`` as the artifact at depth ``k`` without building it.
+
+        For a cell calibrated in another process
+        (:func:`repro.llm.simulated.generate_ahead`): the text arrives
+        with the calibrated depth, so no operator is applied to serve it.
+        """
+        with self._lock:
+            self._texts[self._clamp(k)] = text
 
     def best(self, target: float, lo: int = 0, hi: int | None = None) -> tuple[int, float]:
         """(k, error) minimising ``|score(k) − target|`` over ``[lo, hi]``.
@@ -273,7 +282,6 @@ def calibrate(
         k=best_k,
         achieved_bleu=scores[best_k],
         target_bleu=target_bleu,
-        curve=tuple(scores),
     )
     if result.error > tolerance:
         raise CalibrationError(

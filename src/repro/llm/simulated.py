@@ -2,6 +2,10 @@
 
 Generation pipeline (the same code path a real provider would sit behind):
 
+0. ahead of a sweep, :func:`generate_ahead` may run steps 1-4 for every
+   pending request on the CPUs this process is allowed to use: forked
+   helpers and this process pull calibration cells off one queue, and
+   the payloads wait in a per-model memo that step 4 reads first;
 1. concatenate the user messages and recover the experiment cell from the
    prompt text alone (:func:`repro.llm.intent.analyze_prompt`);
 2. fetch the ground-truth artifact for that cell and build the
@@ -24,13 +28,20 @@ fields, which is the paper's §4.5 finding.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import struct
+import tempfile
 import threading
+import warnings
 from concurrent.futures import Future
-from typing import NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from repro.core.assets import annotated_producer, reference_config
 from repro.errors import GenerationError
 from repro.llm import tokenizer
+from repro.llm.api import get_model
 from repro.llm.calibration import (
     CalibrationResult,
     QualityCurve,
@@ -81,6 +92,11 @@ class SimulatedModel:
         self._lock = threading.Lock()
         # key -> Future so concurrent callers of the same cell compute once
         self._cell_cache: dict[tuple, Future[CalibratedCell]] = {}
+        # cells a generate_ahead helper calibrated, built on first use:
+        # key -> (calibrated depth, achieved BLEU, text at that depth)
+        self._adopted: dict[tuple, tuple[int, float, str]] = {}
+        # payloads generate_ahead computed: memo key -> [payload, uses left]
+        self._ahead: dict[tuple, list] = {}
 
     # -- ModelAPI ------------------------------------------------------------
 
@@ -124,7 +140,9 @@ class SimulatedModel:
     def _complete(
         self, prompt: str, intent: Intent, config: GenerateConfig
     ) -> ModelOutput:
-        payload = self._generate_payload(intent, config)
+        payload = self._take_ahead(intent, config)
+        if payload is None:
+            payload = self._generate_payload(intent, config)
         completion = self._decorate(payload, intent, config)
         usage = ModelUsage(
             input_tokens=tokenizer.count_tokens(prompt),
@@ -221,6 +239,13 @@ class SimulatedModel:
             )
             target = (target + few) / 2.0
         curve = QualityCurve(reference, ops, compiled=compiled)
+        adopted = self._adopted.pop(key, None)
+        if adopted is not None:
+            k, achieved, text = adopted
+            curve.hold(k, text)
+            return CalibratedCell(
+                ops, CalibrationResult(k, achieved, target), curve, compiled
+            )
         result = calibrate(reference, ops, target, curve=curve)
         # the cell is cached for the process lifetime but only the
         # calibrated depth's text is ever read again: drop the rest
@@ -254,6 +279,28 @@ class SimulatedModel:
             reference, epoch_ops, target, center=cell.calib.k, curve=epoch_curve
         )
         return epoch_curve.text(k)
+
+    def _ahead_key(self, intent: Intent, config: GenerateConfig) -> tuple:
+        """Everything :meth:`_generate_payload` reads: cell, seed, sampling."""
+        return (self._cell_key(intent), config.seed, *self._effective_sampling(config))
+
+    def _take_ahead(self, intent: Intent, config: GenerateConfig) -> str | None:
+        """The payload :func:`generate_ahead` computed for this request, if any."""
+        if not self._ahead:
+            return None
+        key = self._ahead_key(intent, config)
+        with self._lock:
+            entry = self._ahead.get(key)
+            if entry is None:
+                return None
+            entry[1] -= 1
+            if not entry[1]:
+                del self._ahead[key]
+        return entry[0]
+
+    def _adopt(self, intent: Intent, calibrated: tuple[int, float, str]) -> None:
+        """Keep a helper's calibration of a cell for :meth:`_calibrate_cell`."""
+        self._adopted[self._cell_key(intent)] = calibrated
 
     def _effective_sampling(self, config: GenerateConfig) -> tuple[float, float]:
         if self.profile.ignore_sampling_params:
@@ -290,3 +337,196 @@ class SimulatedModel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulatedModel({self.name!r})"
+
+
+# -- generate-ahead -----------------------------------------------------------
+
+_QUEUE_ITEM = struct.Struct("<H")
+# the whole queue is written before anyone reads it, so it must fit in
+# one pipe buffer: 4 KiB, the least a Linux pipe holds
+_QUEUE_CAP = 4096 // _QUEUE_ITEM.size
+# the models whose memos the last generate_ahead call filled
+_memo_holders: list[SimulatedModel] = []
+
+
+class _CellGroup(NamedTuple):
+    """One simulated model's pending requests for one calibration cell."""
+
+    model: SimulatedModel
+    intent: Intent
+    configs: dict[tuple, GenerateConfig]  # memo key -> a config with that key
+    uses: dict[tuple, int]  # memo key -> requests that will read it
+
+    def payloads(self) -> dict[tuple, str]:
+        return {
+            key: self.model._generate_payload(self.intent, config)
+            for key, config in self.configs.items()
+        }
+
+
+def generate_ahead(requests: Iterable[tuple[str, str, GenerateConfig]]) -> None:
+    """Compute the payloads of a sweep's simulated requests on every free core.
+
+    ``requests`` are the ``(model name, prompt, config)`` triples of the
+    units a sweep is about to execute.  Requests to simulated models are
+    grouped by calibration cell.  ``cores - 1`` forked helpers and this
+    process pull the groups off one shared queue; each calibrates its
+    group's cell unless it is cached, then computes the payload of every
+    config.  The payloads wait in the models' memos until
+    :meth:`SimulatedModel.generate` reads them, so every output is
+    exactly what the in-process path gives; only where the work runs
+    changes.  A cell a helper calibrated travels back as ``(k, achieved
+    BLEU, text at k)`` and becomes a cached cell on first use.
+
+    Helpers are forked, not spawned: they need this process's models and
+    calibrated cells, which a spawned worker would have to rebuild.  It
+    forks only when ``os.sched_getaffinity`` exists and allows two or
+    more CPUs, no other Python thread is alive (a fork would copy the
+    locks it holds), and there are two or more groups; otherwise it
+    returns at once.  A group that raises, a helper that dies and an
+    unreadable result all leave their groups out of the memo: those
+    requests are computed in-process at generate time, and raise there
+    as they always did.  Each call replaces the previous call's memos.
+    """
+    global _memo_holders
+    for model in _memo_holders:
+        model._ahead = {}
+    _memo_holders = []
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        return
+    groups = _cell_groups(requests)[:_QUEUE_CAP]
+    if len(groups) < 2:
+        return
+    _memo_holders = list({id(group.model): group.model for group in groups}.values())
+    _run_groups(groups, helpers=min(cores, len(groups)) - 1)
+
+
+def _cell_groups(requests: Iterable[tuple[str, str, GenerateConfig]]) -> list[_CellGroup]:
+    """The simulated requests grouped by (model, cell), in request order."""
+    providers: dict[str, object] = {}
+    groups: dict[tuple, _CellGroup] = {}
+    for name, prompt, config in requests:
+        try:
+            model = providers.get(name)
+            if model is None:
+                model = providers[name] = get_model(name).provider
+            if not isinstance(model, SimulatedModel):
+                continue
+            intent = analyze_prompt(model._prompt_of([ChatMessage.user(prompt)]))
+            key = model._ahead_key(intent, config)
+        except Exception:
+            continue  # the unit raises at generate time, as it always did
+        group = groups.get((id(model), key[0]))
+        if group is None:
+            group = groups[(id(model), key[0])] = _CellGroup(model, intent, {}, {})
+        group.configs.setdefault(key, config)
+        group.uses[key] = group.uses.get(key, 0) + 1
+    return list(groups.values())
+
+
+def _run_groups(groups: list[_CellGroup], helpers: int) -> None:
+    """Work the queue here and in ``helpers`` forked helpers; fill the memos."""
+    queue, write_end = os.pipe()
+    os.write(write_end, b"".join(_QUEUE_ITEM.pack(i) for i in range(len(groups))))
+    os.close(write_end)  # every reader sees end-of-file once the queue is empty
+    sinks: list[IO[bytes]] = []
+    pids: list[int] = []
+    try:
+        for _ in range(helpers):
+            sinks.append(tempfile.TemporaryFile())
+            pid = _fork()
+            if pid == 0:
+                _helper(groups, queue, sinks[-1])
+            pids.append(pid)
+        for index in _pulled(queue):
+            try:
+                payloads = groups[index].payloads()
+            except Exception:
+                continue
+            _remember(groups[index], payloads)
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()
+        for sink in sinks:
+            sink.seek(0)
+            for index, calibrated, payloads in _records(sink):
+                if calibrated is not None:
+                    groups[index].model._adopt(groups[index].intent, calibrated)
+                _remember(groups[index], payloads)
+    finally:
+        os.close(queue)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for sink in sinks:
+            sink.close()
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12+ warns whenever the process has more than one OS
+        # thread, and numpy's OpenBLAS pool is one.  No Python thread is
+        # alive (generate_ahead checked), the BLAS pool is fork-safe
+        # through pthread_atfork, and the child runs only the simulator
+        # before os._exit.
+        warnings.filterwarnings(
+            "ignore", message=r".*multi-threaded, use of fork\(\)",
+            category=DeprecationWarning,
+        )
+        return os.fork()
+
+
+def _helper(groups: list[_CellGroup], queue: int, sink: IO[bytes]) -> NoReturn:
+    """A forked helper's whole life: work the queue, write results, exit."""
+    code = 1
+    try:
+        for index in _pulled(queue):
+            record = _helper_record(groups[index], index)
+            if record is not None:
+                pickle.dump(record, sink, pickle.HIGHEST_PROTOCOL)
+                sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _helper_record(group: _CellGroup, index: int) -> tuple | None:
+    """``(index, calibrated cell or None, payloads)``; None if the group raised."""
+    model = group.model
+    key = model._cell_key(group.intent)
+    fresh = key not in model._cell_cache and key not in model._adopted
+    try:
+        payloads = group.payloads()
+    except Exception:
+        return None
+    calibrated = None
+    if fresh:  # calibrated here: ship what the parent needs to adopt it
+        cell = model._cell(group.intent)
+        calibrated = (cell.calib.k, cell.calib.achieved_bleu, cell.curve.text(cell.calib.k))
+    return index, calibrated, payloads
+
+
+def _pulled(queue: int) -> Iterator[int]:
+    """Group indices taken off the shared queue until it runs dry."""
+    size = _QUEUE_ITEM.size
+    while len(chunk := os.read(queue, size)) == size:
+        yield _QUEUE_ITEM.unpack(chunk)[0]
+
+
+def _records(sink: IO[bytes]) -> Iterator[tuple]:
+    """A helper's results, up to the first one that cannot be read."""
+    while True:
+        try:
+            record = pickle.load(sink)
+        except Exception:  # end of file, or a record its helper died writing
+            return
+        yield record
+
+
+def _remember(group: _CellGroup, payloads: dict[tuple, str]) -> None:
+    memo = group.model._ahead
+    for key, payload in payloads.items():
+        memo[key] = [payload, group.uses[key]]

@@ -25,7 +25,6 @@ executor produces bit-identical generations:
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import re
 import threading
@@ -345,9 +344,13 @@ class AsyncExecutor:
     def execute(self, units: Sequence[WorkUnit]) -> dict[str, Generation]:
         if not units:
             return {}
+        import asyncio  # only this executor loads it
+
         return asyncio.run(self._execute(list(units)))
 
     async def _execute(self, units: list[WorkUnit]) -> dict[str, Generation]:
+        import asyncio
+
         pool = self._ensure_pool()
         semaphore = asyncio.Semaphore(self.max_concurrency)
         state = active_faults()
@@ -408,6 +411,8 @@ class AsyncExecutor:
         return {gen.key: gen for gen in generations}
 
     async def _generate_with_retry(self, provider, messages, unit: WorkUnit):
+        import asyncio
+
         attempt = 0
         while True:
             try:

@@ -42,7 +42,6 @@ policy attached, which is what the gated no-fault overhead bench pins.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import hashlib
 import threading
@@ -370,6 +369,8 @@ class FaultState:
     ) -> "Generation | FailedGeneration":
         """The same policy on an event loop; in-flight attempts that blow
         the deadline are genuinely cancelled via ``asyncio.wait_for``."""
+        import asyncio  # only async executors load it
+
         policy = self.policy
         started = time.perf_counter()
         attempt = 0

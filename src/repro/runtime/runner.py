@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping
 
 from repro.core.task import EvalResult
 from repro.errors import HarnessError
+from repro.llm import generate_ahead
 from repro.obs import (
     PhaseProfile,
     active_profiler,
@@ -528,6 +529,9 @@ def _run_impl(
             else contextlib.nullcontext()
         )
         with scope, span("generate"):
+            # simulated models compute their payloads on every free core
+            # first; the executor then finds them done (same output)
+            generate_ahead([(unit.model, unit.prompt, unit.config) for unit in ordered])
             if execute_iter is not None:
                 # streaming: completed units flow into the scoring pool
                 # while later units are still generating

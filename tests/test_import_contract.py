@@ -1,7 +1,8 @@
 """Import contract: what importing the reproduction's layers may load.
 
 The reproduction never builds a :class:`~repro.workflows.graph.WorkflowGraph`,
-so importing the layers it runs through must not pull in ``networkx``.
+so importing the layers it runs through must not pull in ``networkx``; and
+it never runs an event loop, so they must not pull in ``asyncio`` either.
 
 The infrastructure layers form a DAG — core ← runtime ← persist ← serve,
 with obs a leaf — and each check below pins one of its edges: a layer
@@ -48,6 +49,12 @@ def in_packages(modules, *packages):
 def test_reproduction_layers_do_not_import_networkx():
     imports = [f"import {name}" for name in REPRODUCTION_LAYERS]
     assert "networkx" not in loaded_modules(imports)
+
+
+def test_reproduction_layers_do_not_import_asyncio():
+    imports = [f"import {name}" for name in
+               ("repro.core.experiments", "repro.reporting", "repro.runtime", "repro.llm")]
+    assert "asyncio" not in loaded_modules(imports)
 
 
 def test_building_a_workflow_graph_loads_networkx():
