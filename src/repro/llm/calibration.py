@@ -11,7 +11,10 @@ counts, clipped-match totals, hypothesis length) that the curve walks
 from state to state.  Depth ``k+1`` differs from depth ``k`` by one
 operator that usually touches one line, so each step re-tokenizes and
 re-counts only the changed lines and their ``max_order - 1`` tokens of
-context instead of the whole artifact.  The integer statistics equal a
+context instead of the whole artifact.  The re-count updates the
+statistics one n-gram occurrence at a time (the old span's grams down
+by one, the new span's up by one) with no per-span ``Counter`` to net
+against another.  The integer statistics equal a
 from-scratch count, so every score is bit-identical to
 :func:`~repro.metrics.compiled.bleu_compiled` on ``apply_ops(ref, ops,
 k)``.  A depth whose lines break the per-line tokenization

@@ -242,25 +242,6 @@ def bleu_compiled(
     ).score
 
 
-def _window_grams(
-    left: tuple[str, ...], mid: tuple[str, ...], right: tuple[str, ...]
-) -> Counter:
-    """Every 1..4-gram of ``left + mid + right`` that overlaps ``mid`` or
-    spans the junction of ``left`` and ``right``.
-
-    ``left`` and ``right`` are the tokens on either side of a changed
-    region; an order-``n`` gram reaches at most ``n - 1`` of them.
-    """
-    n_left = len(left)
-    windows = [
-        (order, left[max(n_left - order + 1, 0):] + mid + right[: order - 1])
-        for order in range(1, DEFAULT_MAX_ORDER + 1)
-    ]
-    return Counter(chain.from_iterable(
-        zip(*[window[i:] for i in range(order)]) for order, window in windows
-    ))
-
-
 class BleuCursor:
     """Running sentence-BLEU statistics of a line list against one reference
     (the :func:`bleu_compiled` defaults: up to 4-grams, exp smoothing).
@@ -276,10 +257,12 @@ class BleuCursor:
     and new spans have the same length (a rename or a line replaced in
     place), only the runs of lines whose tokens changed are re-counted.
     Each re-counted span's n-grams, with 3 tokens of context on both
-    sides (``max_order - 1``), are taken out of the counts and the new
-    span's put in; a touched gram's clipped matches change by
-    ``min(c', r) - min(c, r)``.  A move costs O(changed tokens), not
-    O(artifact).
+    sides (``max_order - 1``), are walked once: every occurrence of an
+    old gram takes one off its count, every occurrence of a new one
+    adds one, and a clipped match moves with each step that crosses the
+    gram's reference count.  No per-span multiset is built or netted:
+    the unit steps telescope to ``min(c', r) - min(c, r)``.  A move
+    costs O(changed tokens), not O(artifact).
 
     The integer statistics equal a from-scratch count, so :meth:`bleu`
     is bit-identical to :func:`bleu_compiled` on ``"\\n".join(lines)``.
@@ -394,28 +377,31 @@ class BleuCursor:
             right = (old_mid[len(old_mid) - back:] + right)[:reach]
         old_mid = old_mid[head:len(old_mid) - back]
         new_mid = new_mid[head:len(new_mid) - back]
-        removed = _window_grams(left, old_mid, right)
-        added = _window_grams(left, new_mid, right)
-
         counts, table, matches = self._counts, self._table, self._matches
-        unmatched = removed.pop
-        for gram, count in added.items():
-            change = count - unmatched(gram, 0)
-            ref = table.get(gram)
-            if ref and change:
-                before = counts.get(gram, 0)
-                after = counts[gram] = before + change
-                matches[len(gram) - 1] += (
-                    (after if after < ref else ref) - (before if before < ref else ref)
-                )
-        for gram, count in removed.items():
-            ref = table.get(gram)
-            if ref:
-                before = counts[gram]
-                after = counts[gram] = before - count
-                matches[len(gram) - 1] += (
-                    (after if after < ref else ref) - (before if before < ref else ref)
-                )
+        n_left = len(left)
+        for order in range(1, DEFAULT_MAX_ORDER + 1):
+            before_mid = left[max(n_left - order + 1, 0):]
+            after_mid = right[: order - 1]
+            matched = 0
+            # a unit step changes min(count, ref) exactly when it crosses
+            # ``ref``: count <= ref on the way down, count < ref on the way up
+            window = before_mid + old_mid + after_mid
+            for gram in zip(*[window[i:] for i in range(order)]):
+                ref = table.get(gram)
+                if ref:
+                    count = counts[gram]
+                    counts[gram] = count - 1
+                    if count <= ref:
+                        matched -= 1
+            window = before_mid + new_mid + after_mid
+            for gram in zip(*[window[i:] for i in range(order)]):
+                ref = table.get(gram)
+                if ref:
+                    count = counts.get(gram, 0)
+                    counts[gram] = count + 1
+                    if count < ref:
+                        matched += 1
+            matches[order - 1] += matched
 
     def _recount(self, lines: list[str]) -> bool:
         per_line = tokenize_lines(lines)
@@ -425,7 +411,10 @@ class BleuCursor:
         table = self._table
         counts = {
             gram: count
-            for gram, count in _window_grams((), stream, ()).items()
+            for gram, count in Counter(chain.from_iterable(
+                zip(*[stream[i:] for i in range(order)])
+                for order in range(1, DEFAULT_MAX_ORDER + 1)
+            )).items()
             if gram in table
         }
         matches = [0] * DEFAULT_MAX_ORDER

@@ -9,6 +9,9 @@ pure latency knob, never a results knob.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +38,26 @@ from repro.runtime import (
     group_units_by_model,
     run,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_pool_thread_outlives_its_test():
+    """Every AsyncExecutor a test creates is closed, and so joins its pool."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate()
+              if t not in before and t.name.startswith("repro-async")]
+    assert leaked == []
+
+
+@contextlib.contextmanager
+def closing(executor):
+    """Yield ``executor``; close it on the way out if it keeps a pool."""
+    try:
+        yield executor
+    finally:
+        if hasattr(executor, "close"):
+            executor.close()
 
 
 def table1_sweep(executor=None, cache=None, scheduler=None):
@@ -89,7 +112,8 @@ class TestAsyncAndBatchedEquivalence:
         ("batched-serial-groups", lambda: BatchingExecutor(group_concurrency=1)),
     ])
     def test_table1_grid_identical_to_serial(self, serial_grid, name, make):
-        grid = table1_sweep(make())
+        with closing(make()) as executor:
+            grid = table1_sweep(executor)
         assert grid.cells == serial_grid.cells, name
 
     @pytest.mark.parametrize("name,make", [
@@ -99,7 +123,8 @@ class TestAsyncAndBatchedEquivalence:
     def test_warm_cache_zero_generations(self, serial_grid, name, make,
                                          monkeypatch):
         cache = InMemoryResultCache()
-        cold = table1_sweep(make(), cache=cache)
+        with closing(make()) as executor:
+            cold = table1_sweep(executor, cache=cache)
         calls = []
 
         def recording(self, messages, config):  # pragma: no cover - guard
@@ -108,7 +133,8 @@ class TestAsyncAndBatchedEquivalence:
 
         monkeypatch.setattr(SimulatedModel, "generate", recording)
         monkeypatch.setattr(SimulatedModel, "generate_batch", recording)
-        warm = table1_sweep(make(), cache=cache)
+        with closing(make()) as executor:
+            warm = table1_sweep(executor, cache=cache)
         assert calls == []
         assert warm.cells == cold.cells == serial_grid.cells
 
@@ -127,11 +153,14 @@ class TestAsyncAndBatchedEquivalence:
         )
         plan = Plan("p")
         plan.add_eval(task, "sim/o3", epochs=1)
-        with pytest.raises(GenerationError, match="empty prompt"):
-            run(plan, executor=make())
+        with closing(make()) as executor, pytest.raises(
+            GenerationError, match="empty prompt"
+        ):
+            run(plan, executor=executor)
 
     def test_empty_plan(self):
-        assert AsyncExecutor(2).execute([]) == {}
+        with AsyncExecutor(2) as executor:
+            assert executor.execute([]) == {}
         assert BatchingExecutor().execute([]) == {}
 
 
@@ -140,10 +169,10 @@ class TestAsyncRetry:
         provider = FlakyProvider("flaky/recovers", fail_times=2)
         plan = Plan("p")
         plan.add_eval(simple_task("flaky-task"), Model(provider), epochs=1)
-        executor = AsyncExecutor(
+        with AsyncExecutor(
             2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
-        )
-        outcome = run(plan, executor=executor)
+        ) as executor:
+            outcome = run(plan, executor=executor)
         assert provider.calls == 3  # 2 failures + 1 success
         assert outcome.stats.generated == 1
         [result] = outcome.results.values()
@@ -153,10 +182,9 @@ class TestAsyncRetry:
         provider = FlakyProvider("flaky/hopeless", fail_times=100)
         plan = Plan("p")
         plan.add_eval(simple_task("hopeless-task"), Model(provider), epochs=1)
-        executor = AsyncExecutor(
+        with AsyncExecutor(
             2, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
-        )
-        with pytest.raises(ModelError, match="429"):
+        ) as executor, pytest.raises(ModelError, match="429"):
             run(plan, executor=executor)
         assert provider.calls == 3
 
@@ -172,9 +200,10 @@ class TestAsyncRetry:
         plan = Plan("p")
         plan.add_eval(simple_task("invalid-task"), Model(AlwaysInvalid()),
                       epochs=1)
-        with pytest.raises(GenerationError, match="malformed"):
-            run(plan, executor=AsyncExecutor(
-                2, retry=RetryPolicy(max_attempts=5, base_delay=0.0)))
+        with AsyncExecutor(
+            2, retry=RetryPolicy(max_attempts=5, base_delay=0.0)
+        ) as executor, pytest.raises(GenerationError, match="malformed"):
+            run(plan, executor=executor)
         assert AlwaysInvalid.calls == 1
 
     def test_retry_policy_validation_and_backoff(self):
@@ -211,7 +240,8 @@ class TestAsyncNativeProvider:
         plan = Plan("p")
         plan.add_eval(simple_task("native-async-task"), Model(provider),
                       epochs=2)
-        outcome = run(plan, executor=AsyncExecutor(2))
+        with AsyncExecutor(2) as executor:
+            outcome = run(plan, executor=executor)
         assert NativeAsync.agenerate_calls == 2
         assert outcome.stats.generated == 2
 
@@ -479,19 +509,21 @@ class TestThreadedExecutorCloseRegression:
         executor = AsyncExecutor(2)
         plan = Plan("p")
         plan.add_eval(configuration_task("wilkins"), "sim/o3", epochs=1)
-        run(plan, executor=executor)
-        pool = executor._pool
-        assert pool is not None
         plan2 = Plan("p2")
         plan2.add_eval(configuration_task("adios2"), "sim/o3", epochs=1)
-        run(plan2, executor=executor)
-        assert executor._pool is pool, "execute() must reuse the lazy pool"
-        executor.close()
-        assert executor._pool is None
-        # transparent reopen on plain execute, like ThreadedExecutor
-        run(plan2, executor=executor)
-        assert executor._pool is not None
-        executor.close()
+        try:
+            run(plan, executor=executor)
+            pool = executor._pool
+            assert pool is not None
+            run(plan2, executor=executor)
+            assert executor._pool is pool, "execute() must reuse the lazy pool"
+            executor.close()
+            assert executor._pool is None
+            # transparent reopen on plain execute, like ThreadedExecutor
+            run(plan2, executor=executor)
+            assert executor._pool is not None
+        finally:
+            executor.close()
 
     def test_execute_after_close_still_reopens(self):
         from repro.runtime import ThreadedExecutor

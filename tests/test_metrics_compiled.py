@@ -175,6 +175,30 @@ def apply_edit(lines: list[str], edit) -> list[str]:
     return list(new)
 
 
+# two words, so one splice can push a gram's count past its reference
+# count and back; edits pinned to the first or last line are the pure
+# inserts and deletes whose middle span is empty (junction grams only)
+ab_line = st.lists(st.sampled_from(["a", "b", "a a", "b a b"]), max_size=3).map(" ".join)
+ab_edit = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.sampled_from(["first", "last"]) | st.integers(0, 8),
+    st.lists(ab_line, min_size=1, max_size=3),
+)
+
+
+def apply_edge_edit(lines: list[str], edit) -> list[str]:
+    kind, where, new = edit
+    if where == "first":
+        where = 0
+    elif where == "last":
+        where = {
+            "insert": len(lines),
+            "delete": max(len(lines) - len(new), 0),
+            "replace": max(len(lines) - 1, 0),
+        }[kind]
+    return apply_edit(lines, (kind, where, new))
+
+
 class TestBleuCursor:
     """Running BLEU statistics equal a whole-text score after every move."""
 
@@ -196,6 +220,31 @@ class TestBleuCursor:
         for e in edits:
             states.append(apply_edit(states[-1], e))
         self.walk(states)
+
+    AB_REFERENCE = "a b a\nb a b b\na a\nb"
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.lists(ab_line, min_size=2, max_size=6),
+           edits=st.lists(ab_edit, min_size=1, max_size=12))
+    @example(start=["a b", "b a"], edits=[("insert", "last", ["a"]),
+                                          ("delete", "first", ["a b"])])
+    @example(start=["a", "a a", "a"], edits=[("replace", 1, ["a a a a"]),
+                                             ("replace", 1, ["b"])])
+    def test_statistics_equal_a_fresh_count_after_every_move(self, start, edits):
+        states = [start]
+        for e in edits:
+            states.append(apply_edge_edit(states[-1], e))
+        compiled = compile_reference(self.AB_REFERENCE)
+        cursor = BleuCursor(compiled)
+        for lines in states:
+            if not cursor.move(lines):
+                continue
+            fresh = BleuCursor(compiled)
+            assert fresh.move(lines)
+            assert cursor._matches == fresh._matches, lines
+            assert cursor._sys_len == fresh._sys_len, lines
+            assert ({g: c for g, c in cursor._counts.items() if c}
+                    == {g: c for g, c in fresh._counts.items() if c}), lines
 
     def test_refused_move_keeps_the_last_position(self):
         ref = self.REFERENCE.split("\n")
